@@ -20,7 +20,9 @@ namespace herd::cluster {
 class SequentialCore {
  public:
   SequentialCore(sim::Engine& engine, std::string name)
-      : engine_(&engine), res_(engine, std::move(name)) {}
+      : engine_(&engine),
+        res_(engine, std::move(name)),
+        lane_(engine.new_lane()) {}
 
   /// Occupies the core for `cost` ticks starting no earlier than `earliest`
   /// (and never before previously queued work completes), then runs `fn`.
@@ -29,7 +31,7 @@ class SequentialCore {
                    std::function<void()> fn) {
     sim::Tick start = earliest > engine_->now() ? earliest : engine_->now();
     sim::Tick done = res_.acquire_at(start, cost);
-    if (fn) engine_->schedule_at(done, std::move(fn));
+    if (fn) engine_->schedule_at(done, lane_, std::move(fn));
     return done;
   }
 
@@ -49,6 +51,7 @@ class SequentialCore {
  private:
   sim::Engine* engine_;
   sim::Resource res_;
+  sim::Lane lane_;  // continuations run in core order: `done` never drops
 };
 
 }  // namespace herd::cluster

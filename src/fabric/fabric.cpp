@@ -33,6 +33,7 @@ std::uint32_t Fabric::attach(const std::string& name) {
   ports_.push_back(Port{
       std::make_unique<sim::Resource>(*engine_, name + "/tx"),
       std::make_unique<sim::Resource>(*engine_, name + "/rx"),
+      engine_->new_lane(),
   });
   if (resources_ != nullptr) {
     std::string base = resource_prefix_ + ".host" + std::to_string(id);
@@ -88,7 +89,7 @@ void Fabric::transmit_at(sim::Tick start, std::uint32_t src, std::uint32_t dst,
     tracer_->span(ports_[dst].rx->name(), "wire_rx", rx.start, rx.done,
                   std::to_string(wire_bytes) + "B");
   }
-  engine_->schedule_at(arrival, std::move(on_arrival));
+  engine_->schedule_at(arrival, ports_[dst].arrivals, std::move(on_arrival));
 }
 
 }  // namespace herd::fabric

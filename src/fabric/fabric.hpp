@@ -143,6 +143,7 @@ class Fabric {
   struct Port {
     std::unique_ptr<sim::Resource> tx;
     std::unique_ptr<sim::Resource> rx;
+    sim::Lane arrivals;  // deliveries land at rx `done`: never decreasing
   };
 
   sim::Engine* engine_;

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "obs/flight.hpp"
@@ -70,7 +71,8 @@ class PcieLink {
         name_(std::move(name)),
         pio_(engine, name_ + "/pio"),
         dma_rd_(engine, name_ + "/dma_rd"),
-        dma_wr_(engine, name_ + "/dma_wr") {}
+        dma_wr_(engine, name_ + "/dma_wr"),
+        dma_wr_lane_(engine.new_lane()) {}
 
   static constexpr std::uint32_t kCacheline = 64;
 
@@ -157,6 +159,12 @@ class PcieLink {
   sim::Resource& pio_resource() { return pio_; }
   sim::Resource& dma_read_resource() { return dma_rd_; }
   sim::Resource& dma_write_resource() { return dma_wr_; }
+  /// Runs `fn` at `visible`, the tick a dma_write() returned. The
+  /// DMA-write engine is FIFO and its latency constant, so writes become
+  /// visible in call order and these events share an in-order lane.
+  void at_write_visible(sim::Tick visible, std::function<void()> fn) {
+    engine_->schedule_at(visible, dma_wr_lane_, std::move(fn));
+  }
 
   PcieCounters& counters() { return counters_; }
   const PcieCounters& counters() const { return counters_; }
@@ -197,6 +205,7 @@ class PcieLink {
   sim::Resource pio_;
   sim::Resource dma_rd_;
   sim::Resource dma_wr_;
+  sim::Lane dma_wr_lane_;
   PcieCounters counters_;
   obs::Tracer* tracer_ = nullptr;
 };

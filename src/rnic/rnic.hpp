@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "obs/flight.hpp"
@@ -40,6 +41,8 @@ class Rnic {
         tx_(engine, name + "/tx"),
         rx_(engine, name + "/rx"),
         dispatch_(engine, name + "/dispatch"),
+        tx_lane_(engine.new_lane()),
+        rx_lane_(engine.new_lane()),
         cache_(engine,
                QpContextCache::Config{cal.qp_cache_units, cal.cache_residency,
                                       cal.cache_idle_expiry},
@@ -52,6 +55,15 @@ class Rnic {
   sim::Resource& tx() { return tx_; }
   sim::Resource& rx() { return rx_; }
   sim::Resource& dispatch() { return dispatch_; }
+  /// Run `fn` at a TX (RX) completion: the TX unit's `done` (the RX
+  /// unit's `done` plus the constant rx_latency). The units are FIFO, so
+  /// these ticks never decrease and each unit's events share a lane.
+  void at_tx_done(sim::Tick t, std::function<void()> fn) {
+    engine_->schedule_at(t, tx_lane_, std::move(fn));
+  }
+  void at_rx_done(sim::Tick t, std::function<void()> fn) {
+    engine_->schedule_at(t, rx_lane_, std::move(fn));
+  }
   RnicCounters& counters() { return counters_; }
   const RnicCounters& counters() const { return counters_; }
 
@@ -128,6 +140,8 @@ class Rnic {
   sim::Resource tx_;
   sim::Resource rx_;
   sim::Resource dispatch_;
+  sim::Lane tx_lane_;
+  sim::Lane rx_lane_;
   QpContextCache cache_;
   RnicCounters counters_;
   std::uint32_t outstanding_unsignaled_ = 0;

@@ -125,7 +125,10 @@ struct Qp::Inbound {
 };
 
 Qp::Qp(Context& ctx, const QpAttr& attr)
-    : ctx_(&ctx), attr_(attr), qpn_(ctx.next_qpn_++) {
+    : ctx_(&ctx),
+      attr_(attr),
+      qpn_(ctx.next_qpn_++),
+      sq_lane_(ctx.engine().new_lane()) {
   if (attr_.send_cq == nullptr || attr_.recv_cq == nullptr) {
     throw std::invalid_argument("Qp: send_cq and recv_cq are required");
   }
@@ -263,6 +266,12 @@ void Qp::post_send(std::span<const SendWr> chain) {
   }
 }
 
+void Qp::sq_schedule(sim::Tick ready, std::function<void()> stage) {
+  if (ready < sq_ready_) ready = sq_ready_;
+  sq_ready_ = ready;
+  ctx_->engine().schedule_at(ready, sq_lane_, std::move(stage));
+}
+
 void Qp::post_chained(const SendWr& wr, sim::Tick& doorbell_done) {
   sim::Tick wqe_ready;   // WQE contents known to the device (gates execution)
   sim::Tick wqe_free;    // fetch engine free again (gates the payload read)
@@ -289,10 +298,9 @@ void Qp::post_chained(const SendWr& wr, sim::Tick& doorbell_done) {
       auto src = ctx_->memory().span(wr.sge.addr, wr.sge.length);
       payload.assign(src.begin(), src.end());
     }
-    ctx_->engine().schedule_at(
-        sq_order(wqe_ready), [this, wr, p = std::move(payload)]() mutable {
-          tx_stage(wr, std::move(p), ctx_->engine().now());
-        });
+    sq_schedule(wqe_ready, [this, wr, p = std::move(payload)]() mutable {
+      tx_stage(wr, std::move(p), ctx_->engine().now());
+    });
   } else {
     // Non-inline: the device fetches the payload with a DMA read; the buffer
     // contents are sampled at DMA time, not post time. The read chains off
@@ -301,7 +309,7 @@ void Qp::post_chained(const SendWr& wr, sim::Tick& doorbell_done) {
     // once as latency, never per WR as throughput.
     sim::Tick dma_done =
         ctx_->pcie().dma_read(wqe_free, wr.sge.length).visible;
-    ctx_->engine().schedule_at(sq_order(dma_done), [this, wr]() {
+    sq_schedule(dma_done, [this, wr]() {
       auto src = ctx_->memory().span(wr.sge.addr, wr.sge.length);
       std::vector<std::byte> payload(src.begin(), src.end());
       tx_stage(wr, std::move(payload), ctx_->engine().now());
@@ -320,7 +328,7 @@ void Qp::start_read(SendWr wr) {
 void Qp::issue_read(SendWr wr) {
   ++outstanding_reads_;
   sim::Tick pio_done = ctx_->pcie().doorbell(wqe_bytes(wr));
-  ctx_->engine().schedule_at(sq_order(pio_done), [this, wr]() {
+  sq_schedule(pio_done, [this, wr]() {
     tx_stage(wr, {}, ctx_->engine().now());
   });
 }
@@ -394,17 +402,16 @@ void Qp::tx_stage(SendWr wr, std::vector<std::byte> payload, sim::Tick ready) {
 
   // Outbound throughput is the *service* rate of the TX unit, so count at
   // completion (arrival-time counting would measure the posting rate).
-  ctx_->engine().schedule_at(
-      tx_done, [this, signaled = wr.signaled, op = wr.opcode]() {
-        auto& rnic = ctx_->rnic();
-        ++rnic.counters().tx_ops;
-        if (!signaled) rnic.unsignaled_dec();
-        // SEND/WRITE WQEs leave the send queue once transmitted; READ WQEs
-        // stay outstanding until the response lands (see finish_read).
-        if (op != Opcode::kRead) {
-          if (auto* ck = ctx_->contract()) ck->on_send_retired(*this);
-        }
-      });
+  rn.at_tx_done(tx_done, [this, signaled = wr.signaled, op = wr.opcode]() {
+    auto& rnic = ctx_->rnic();
+    ++rnic.counters().tx_ops;
+    if (!signaled) rnic.unsignaled_dec();
+    // SEND/WRITE WQEs leave the send queue once transmitted; READ WQEs
+    // stay outstanding until the response lands (see finish_read).
+    if (op != Opcode::kRead) {
+      if (auto* ck = ctx_->contract()) ck->on_send_retired(*this);
+    }
+  });
 
   // UC/UD verbs complete locally once transmitted ("fire and forget"); RC
   // completes on ACK / READ response, handled on the receive path.
@@ -552,8 +559,7 @@ void Qp::rx_arrive(Inbound in) {
   // Inbound throughput = RX service rate. The fabric is lossless (credit
   // flow control): when arrivals outpace service the wire backpressures, so
   // the sustainable rate is what the RX unit retires.
-  ctx_->engine().schedule_at(done,
-                             [this]() { ++ctx_->rnic().counters().rx_ops; });
+  rn.at_rx_done(done, [this]() { ++ctx_->rnic().counters().rx_ops; });
 
   switch (in.opcode) {
     case Opcode::kWrite:
@@ -594,7 +600,7 @@ void Qp::rx_write(Inbound& in, sim::Tick done) {
           .dma_write(done, static_cast<std::uint32_t>(in.payload.size()))
           .visible;
   std::uint64_t addr = in.remote_addr;
-  ctx_->engine().schedule_at(
+  ctx_->pcie().at_write_visible(
       applied, [this, addr, payload = std::move(in.payload)]() {
         ctx_->memory().dma_apply(addr, payload);
       });
@@ -647,7 +653,7 @@ void Qp::rx_send(Inbound& in, sim::Tick done) {
     wc.opcode = WcOpcode::kRecv;
     sim::Tick tc = ctx_->pcie().dma_write(done, cal.cqe_bytes).visible;
     Cq* rcq = attr_.recv_cq;
-    ctx_->engine().schedule_at(tc, [rcq, wc]() { rcq->push(wc); });
+    ctx_->pcie().at_write_visible(tc, [rcq, wc]() { rcq->push(wc); });
     return;
   }
 
@@ -659,7 +665,7 @@ void Qp::rx_send(Inbound& in, sim::Tick done) {
   sim::Tick applied = payload_dma.visible;
   std::uint64_t addr = rwr.sge.addr;
   std::uint32_t src_qpn = in.src->qpn();
-  ctx_->engine().schedule_at(
+  ctx_->pcie().at_write_visible(
       applied, [this, addr, grh, payload = std::move(in.payload)]() {
         if (grh > 0) {
           // Zeroed GRH placeholder, as the payload lands at offset 40.
@@ -679,7 +685,7 @@ void Qp::rx_send(Inbound& in, sim::Tick done) {
   sim::Tick tc =
       ctx_->pcie().dma_write(payload_dma.free, cal.cqe_bytes).visible;
   Cq* rcq = attr_.recv_cq;
-  ctx_->engine().schedule_at(tc, [rcq, wc]() { rcq->push(wc); });
+  ctx_->pcie().at_write_visible(tc, [rcq, wc]() { rcq->push(wc); });
 
   if (attr_.transport == Transport::kRc) {
     Qp* src = in.src;
@@ -743,7 +749,7 @@ void Qp::read_response(SendWr wr, std::vector<std::byte> payload) {
   auto payload_dma = ctx_->pcie().dma_write(
       done, static_cast<std::uint32_t>(payload.size()));
   sim::Tick cqe_start = payload_dma.free;
-  ctx_->engine().schedule_at(
+  ctx_->pcie().at_write_visible(
       payload_dma.visible,
       [this, wr, cqe_start, payload = std::move(payload)]() {
         ctx_->memory().dma_apply(wr.sge.addr, payload);
@@ -767,8 +773,8 @@ void Qp::deliver_requester_completion(const SendWr& wr, WcStatus status,
   // A CQE slot was reserved at post time for signaled and flushed WRs;
   // error completions of unsignaled WRs arrive unreserved.
   bool reserved = wr.signaled || status == WcStatus::kWrFlushErr;
-  ctx_->engine().schedule_at(tc,
-                             [scq, wc, reserved]() { scq->push(wc, reserved); });
+  ctx_->pcie().at_write_visible(
+      tc, [scq, wc, reserved]() { scq->push(wc, reserved); });
 }
 
 void Qp::send_ack_path(sim::Tick when, Qp* requester,

@@ -157,12 +157,10 @@ class Qp {
 
   /// Send-queue ordering: WQEs are processed in post order, so a later
   /// verb's TX processing never starts before an earlier one's (a READ must
-  /// not overtake a non-inlined WRITE still fetching its payload).
-  sim::Tick sq_order(sim::Tick ready) {
-    if (ready < sq_ready_) ready = sq_ready_;
-    sq_ready_ = ready;
-    return ready;
-  }
+  /// not overtake a non-inlined WRITE still fetching its payload). Runs
+  /// `stage` no earlier than `ready` nor the previous stage, which makes
+  /// the ticks monotone and the QP's in-order lane applicable.
+  void sq_schedule(sim::Tick ready, std::function<void()> stage);
 
   std::uint32_t wqe_bytes(const SendWr& wr) const;
   double cache_weight(rnic::Role role) const;
@@ -179,6 +177,7 @@ class Qp {
   std::uint32_t outstanding_reads_ = 0;
   std::deque<SendWr> pending_reads_;
   sim::Tick sq_ready_ = 0;
+  sim::Lane sq_lane_;
   QpState state_ = QpState::kReady;
 };
 

@@ -1,11 +1,16 @@
 // Unit tests: discrete-event engine, resources, sequential cores.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/core.hpp"
 #include "sim/engine.hpp"
 #include "sim/resource.hpp"
+#include "sim/rng.hpp"
 #include "sim/time.hpp"
 
 namespace herd::sim {
@@ -111,6 +116,123 @@ TEST(Engine, StepProcessesOneEvent) {
   EXPECT_EQ(n, 1);
   EXPECT_TRUE(eng.step());
   EXPECT_FALSE(eng.step());
+}
+
+// Three events share tick 10 — lane A's, a plain one, lane B's — and each
+// lane's event reaches the heap only after the lane's earlier head ran.
+// They must still run in schedule order: a lane head keeps the seq it was
+// scheduled with instead of taking a fresh one when it re-enters the heap.
+TEST(EngineLanes, EqualTickAcrossLanesAndHeapRunsInScheduleOrder) {
+  Engine eng;
+  Lane a = eng.new_lane();
+  Lane b = eng.new_lane();
+  std::vector<std::string> order;
+  eng.schedule_at(ns(5), a, [&] { order.push_back("a0"); });
+  eng.schedule_at(ns(5), b, [&] { order.push_back("b0"); });
+  eng.schedule_at(ns(10), a, [&] { order.push_back("a1"); });
+  eng.schedule_at(ns(10), [&] { order.push_back("p"); });
+  eng.schedule_at(ns(10), b, [&] { order.push_back("b1"); });
+  eng.run();
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"a0", "b0", "a1", "p", "b1"}));
+}
+
+TEST(EngineLanes, OnlyTheHeadOfALaneSitsInTheHeap) {
+  Engine eng;
+  Lane lane = eng.new_lane();
+  for (int i = 0; i < 100; ++i) eng.schedule_at(ns(i), lane, [] {});
+  EXPECT_EQ(eng.heap_entries(), 1u);
+  eng.schedule_at(ns(3), [] {});
+  EXPECT_EQ(eng.heap_entries(), 2u);
+  EXPECT_EQ(eng.lane_fallbacks(), 0u);
+  eng.run();
+  EXPECT_EQ(eng.heap_entries(), 0u);
+  EXPECT_EQ(eng.events_processed(), 101u);
+}
+
+TEST(EngineLanes, InsertBelowTheTailFallsBackToTheHeapInOrder) {
+  Engine eng;
+  Lane lane = eng.new_lane();
+  std::vector<int> order;
+  eng.schedule_at(ns(20), lane, [&] { order.push_back(20); });
+  eng.schedule_at(ns(10), lane, [&] { order.push_back(10); });
+  EXPECT_EQ(eng.lane_fallbacks(), 1u);
+  EXPECT_EQ(eng.heap_entries(), 2u);
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{10, 20}));
+  EXPECT_THROW(eng.schedule_at(ns(5), lane, [] {}), std::logic_error);
+}
+
+/// What one run of a random schedule did, in the engine's own terms.
+struct ScheduleRun {
+  std::vector<std::pair<Tick, int>> fired;  // (tick, event id) in run order
+  std::uint64_t scheduled = 0;
+  std::uint64_t processed = 0;
+  Tick now = 0;
+  std::uint64_t fallbacks = 0;
+};
+
+/// A seeded random schedule over two lanes and the plain heap. Ticks are
+/// drawn from a narrow range, so equal ticks across lanes and the heap are
+/// common, and one lane insert in six lands below its lane's tail. Events
+/// spawn children, and the run mixes run_until(), step() and run(). With
+/// `lanes` false the same calls go to the plain heap.
+ScheduleRun run_random_schedule(std::uint64_t seed, bool lanes) {
+  Engine eng;
+  std::vector<Lane> lane_ids = {eng.new_lane(), eng.new_lane()};
+  std::vector<Tick> tails(lane_ids.size(), 0);
+  Pcg32 rng(seed, 7);
+  ScheduleRun out;
+  int next_id = 0;
+  std::function<void(int)> spawn = [&](int depth) {
+    int id = next_id++;
+    std::uint32_t kind = rng.next_below(3);  // 0: plain, 1-2: a lane
+    Tick t = eng.now() + ns(rng.next_below(6));
+    Engine::Callback cb = [&, id, depth] {
+      out.fired.emplace_back(eng.now(), id);
+      if (depth < 4) {
+        std::uint32_t children = rng.next_below(3);
+        for (std::uint32_t c = 0; c < children; ++c) spawn(depth + 1);
+      }
+    };
+    if (kind == 0) {
+      eng.schedule_at(t, std::move(cb));
+      return;
+    }
+    Tick& tail = tails[kind - 1];
+    if (rng.next_below(6) != 0) t = std::max(t, tail);  // else: below tail
+    tail = std::max(tail, t);
+    if (lanes) {
+      eng.schedule_at(t, lane_ids[kind - 1], std::move(cb));
+    } else {
+      eng.schedule_at(t, std::move(cb));
+    }
+  };
+  for (int i = 0; i < 200; ++i) spawn(0);
+  eng.run_until(ns(3));
+  for (int i = 0; i < 50 && eng.step(); ++i) {
+  }
+  for (int i = 0; i < 50; ++i) spawn(1);
+  eng.run();
+  out.scheduled = eng.events_scheduled();
+  out.processed = eng.events_processed();
+  out.now = eng.now();
+  out.fallbacks = eng.lane_fallbacks();
+  return out;
+}
+
+TEST(EngineLanes, RandomScheduleRunsExactlyAsWithoutLanes) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    ScheduleRun plain = run_random_schedule(seed, false);
+    ScheduleRun laned = run_random_schedule(seed, true);
+    ASSERT_GT(plain.fired.size(), 200u) << "seed " << seed;
+    EXPECT_EQ(laned.fired, plain.fired) << "seed " << seed;
+    EXPECT_EQ(laned.scheduled, plain.scheduled) << "seed " << seed;
+    EXPECT_EQ(laned.processed, plain.processed) << "seed " << seed;
+    EXPECT_EQ(laned.now, plain.now) << "seed " << seed;
+    EXPECT_EQ(plain.fallbacks, 0u);
+    EXPECT_GT(laned.fallbacks, 0u) << "seed " << seed;
+  }
 }
 
 TEST(Resource, FifoServiceAccumulates) {

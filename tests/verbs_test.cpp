@@ -3,13 +3,16 @@
 // behavior, READ flow control, inline semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "cluster/core.hpp"
 #include "verbs/verbs.hpp"
 
 namespace herd::verbs {
@@ -822,6 +825,79 @@ TEST_F(VerbsTest, WidePollDrainsBatchedCompletionsInOrder) {
   ASSERT_EQ(n, 2u);  // the remainder on the next sweep
   EXPECT_EQ(wcs[0].wr_id, 104u);
   EXPECT_EQ(wcs[1].wr_id, 105u);
+}
+
+// fig03's shape: 16 client machines keep 32-byte inline UC WRITEs in flight
+// to one server, whose port saturates, so the pending backlog grows without
+// bound. Every stream that backlog sits in is monotone (a FIFO resource's
+// completions, or a send queue in post order), so the engine's in-order
+// lanes must hold it: the heap stays at about one entry per lane while the
+// pending events pass 10k, and no lane insert falls back to the heap.
+TEST(VerbsLanes, SaturatedInboundPortBacklogStaysOutOfTheHeap) {
+  constexpr std::uint32_t kClients = 16;
+  constexpr std::uint32_t kWindow = 32;
+  constexpr std::uint32_t kSignalEvery = 8;
+  cluster::ClusterConfig cfg = cluster::ClusterConfig::apt();
+  cluster::Cluster cl(cfg, 1 + kClients, 1u << 20);
+  sim::Engine& eng = cl.engine();
+  auto& server = cl.host(0);
+  auto server_cq = server.ctx().create_cq();
+  Mr smr = server.ctx().register_mr(0, 1u << 20, {.remote_write = true});
+
+  struct Client {
+    std::unique_ptr<cluster::SequentialCore> core;
+    std::unique_ptr<Cq> scq;
+    std::unique_ptr<Cq> rcq;
+    std::unique_ptr<Qp> qp;
+    std::unique_ptr<Qp> server_qp;
+    SendWr wr;
+    std::uint64_t posted = 0;
+  };
+  std::vector<Client> clients(kClients);
+  auto post = [&cfg](Client& c, std::uint32_t n) {
+    std::vector<SendWr> chain(n, c.wr);
+    for (SendWr& w : chain) w.signaled = ++c.posted % kSignalEvery == 0;
+    c.core->run(cfg.cpu.chained_post_cost(n), [&c, chain = std::move(chain)] {
+      c.qp->post_send(std::span<const SendWr>(chain));
+    });
+  };
+  for (std::uint32_t i = 0; i < kClients; ++i) {
+    Client& c = clients[i];
+    auto& ctx = cl.host(1 + i).ctx();
+    c.core = std::make_unique<cluster::SequentialCore>(eng, "c");
+    c.scq = ctx.create_cq();
+    c.rcq = ctx.create_cq();
+    Mr mr = ctx.register_mr(0, 8192, {});
+    c.qp = ctx.create_qp({Transport::kUc, c.scq.get(), c.rcq.get()});
+    c.server_qp = server.ctx().create_qp(
+        {Transport::kUc, server_cq.get(), server_cq.get()});
+    c.qp->connect(*c.server_qp);
+    c.wr.opcode = Opcode::kWrite;
+    c.wr.sge = {mr.addr, 32, mr.lkey};
+    c.wr.remote_addr = smr.addr + std::uint64_t{i} * 4096;
+    c.wr.rkey = smr.rkey;
+    c.wr.inline_data = true;
+    c.scq->set_notify([&c, &post] {
+      std::array<Wc, 16> wcs;
+      int n;
+      while ((n = c.scq->poll(wcs)) > 0) {
+        post(c, static_cast<std::uint32_t>(n) * kSignalEvery);
+      }
+    });
+  }
+  for (Client& c : clients) post(c, kWindow);
+
+  std::size_t max_heap = 0;
+  std::uint64_t pending = 0;
+  while (pending <= 10000 && eng.now() < sim::ms(20)) {
+    eng.run_until(eng.now() + sim::us(10));
+    pending = eng.events_scheduled() - eng.events_processed();
+    max_heap = std::max(max_heap, eng.heap_entries());
+  }
+  EXPECT_GT(pending, 10000u);
+  EXPECT_LE(max_heap, 128u);  // 116 lanes here; no lanes: ~12k
+  EXPECT_EQ(eng.lane_fallbacks(), 0u);
+  EXPECT_EQ(server.rnic().counters().dropped_packets.value(), 0u);
 }
 
 }  // namespace
