@@ -18,6 +18,10 @@
 //                           simulated time; CI smoke passes 0.25)
 //   --bench-trace=N         sample every Nth request into a Chrome trace
 //                           (end-to-end benches only)
+//   --bench-canary=NAME     plant a regression the baseline gate MUST catch
+//                           (never for real numbers): drop-shedding (fig16's
+//                           shed-ON arm sheds nothing) or no-doorbell-batch
+//                           (every cluster rings one doorbell per chained WR)
 //
 // Use HERD_BENCH_MAIN(figure, title, {series...}) instead of
 // BENCHMARK_MAIN().
@@ -50,6 +54,7 @@ struct BenchOptions {
   std::string git_rev = "unknown";  // --git-rev
   std::uint64_t trace_every = 0;    // --bench-trace
   double measure_ms = 2.0;          // --bench-measure-ms
+  std::string canary;               // --bench-canary ("" = none)
 };
 
 inline BenchOptions& options() {
@@ -187,9 +192,18 @@ inline E2e run_emulated(const cluster::ClusterConfig& cc,
              {},     {}};
 }
 
-inline cluster::ClusterConfig apt() { return cluster::ClusterConfig::apt(); }
+/// True when --bench-canary planted the regression `name`.
+inline bool canary(std::string_view name) { return options().canary == name; }
+
+inline cluster::ClusterConfig apt() {
+  cluster::ClusterConfig cc = cluster::ClusterConfig::apt();
+  cc.doorbell_per_wr = canary("no-doorbell-batch");
+  return cc;
+}
 inline cluster::ClusterConfig susitna() {
-  return cluster::ClusterConfig::susitna();
+  cluster::ClusterConfig cc = cluster::ClusterConfig::susitna();
+  cc.doorbell_per_wr = canary("no-doorbell-batch");
+  return cc;
 }
 
 /// Applies the standard single-run setup to a benchmark.
@@ -223,6 +237,14 @@ inline int bench_main(int argc, char** argv, obs::BenchSpec spec) {
       opt.git_rev = v;
     } else if (consume_flag(argv[i], "--bench-trace=", v)) {
       opt.trace_every = std::strtoull(v.c_str(), nullptr, 10);
+    } else if (consume_flag(argv[i], "--bench-canary=", v)) {
+      if (v != "drop-shedding" && v != "no-doorbell-batch") {
+        std::fprintf(stderr,
+                     "--bench-canary must be drop-shedding or "
+                     "no-doorbell-batch\n");
+        return 1;
+      }
+      opt.canary = v;
     } else if (consume_flag(argv[i], "--bench-measure-ms=", v)) {
       opt.measure_ms = std::strtod(v.c_str(), nullptr);
       if (opt.measure_ms <= 0) {

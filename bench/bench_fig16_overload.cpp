@@ -20,18 +20,18 @@
 //    region stays short enough that admitted requests complete well inside
 //    the retry timer. The goodput curve stays FLAT at the quota.
 //
-//  * Shedding OFF (OverloadConfig.drop_shedding — the same knob the
-//    HERD_DROP_SHEDDING canary build forces on): every arrival is served,
-//    every response carries 1000 B, and the region drains only as fast as
-//    the fabric. Past saturation the region wait crosses the clients'
-//    retry timer, the retransmission storm adds duplicate attempts the
-//    server also serves at full wire cost, and waits compound into the
-//    deadline. Goodput COLLAPSES to ~30% of peak — the classic
+//  * Shedding OFF (OverloadConfig.drop_shedding — the same knob
+//    --bench-canary=drop-shedding forces on in the ON arm): every arrival
+//    is served, every response carries 1000 B, and the region drains only
+//    as fast as the fabric. Past saturation the region wait crosses the
+//    clients' retry timer, the retransmission storm adds duplicate
+//    attempts the server also serves at full wire cost, and waits compound
+//    into the deadline. Goodput COLLAPSES to ~30% of peak — the classic
 //    congestion-collapse curve.
 //
 // The bench_compare gate rides on `on_retention_rate` (shed-ON goodput at
 // the deepest overload point, as a fraction of the shed-ON peak): the
-// committed baseline holds >= 0.9, and a build whose shedding silently
+// committed baseline holds >= 0.9, and a server whose shedding silently
 // stopped working (the canary) collapses it to the OFF curve's level.
 #include <benchmark/benchmark.h>
 
@@ -65,7 +65,7 @@ core::TestbedConfig overload_bench_cfg(bool shed, std::uint32_t n_clients) {
   cfg.herd.overload.queue_high = 48;
   cfg.herd.overload.queue_low = 12;
   cfg.herd.overload.degraded_retry_after = sim::us(50);
-  cfg.herd.overload.drop_shedding = !shed;
+  cfg.herd.overload.drop_shedding = !shed || bench::canary("drop-shedding");
   cfg.workload.n_keys = 2048;
   // All GETs of 1000-byte values: serving is outbound-wire-bound, so a
   // header-only shed reply is ~10x cheaper than a served response. (With

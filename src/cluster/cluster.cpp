@@ -81,7 +81,8 @@ Host::Host(sim::Engine& engine, fabric::Fabric& fabric,
       pcie_(engine, cfg.pcie, name_),
       rnic_(engine, cfg.rnic, name_, seed),
       port_(fabric.attach(name_)),
-      ctx_(engine, rnic_, pcie_, fabric, port_, memory_) {}
+      ctx_(engine, rnic_, pcie_, fabric, port_, memory_,
+           cfg.doorbell_per_wr) {}
 
 Cluster::Cluster(const ClusterConfig& cfg, std::size_t n_hosts,
                  std::size_t mem_per_host, std::uint64_t seed)

@@ -34,6 +34,12 @@ struct ClusterConfig {
   /// context. Free in simulated time; on by default so misuse surfaces in
   /// every bench and test, not just the HERD testbed.
   bool contract_check = true;
+  /// Planted-bug canary: every host's verbs context rings one PIO doorbell
+  /// per WR of a post_send chain instead of one per chain, reverting the
+  /// §4.3 doorbell batching. The fig04 bench_compare gate MUST catch it
+  /// (bench binaries: --bench-canary=no-doorbell-batch). Never enable in
+  /// production configurations.
+  bool doorbell_per_wr = false;
 
   /// Apt: Xeon E5-2450, ConnectX-3 MX354A 56 Gbps IB, PCIe 3.0 x8 (Table 2).
   static ClusterConfig apt();

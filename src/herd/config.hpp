@@ -57,8 +57,8 @@ struct OverloadConfig {
   /// quota, no watermark, no deadline shedding) while leaving the wire
   /// format unchanged, so overload collapses goodput exactly as an
   /// unprotected server would. The fig16 bench_compare gate MUST catch
-  /// the collapse. Never enable in production configurations. (The
-  /// HERD_DROP_SHEDDING build flag forces this on for the CI canary.)
+  /// the collapse. Never enable in production configurations. (The fig16
+  /// bench binary forces this on under --bench-canary=drop-shedding.)
   bool drop_shedding = false;
 };
 
@@ -142,8 +142,8 @@ struct HerdConfig {
   /// Planted-bug canary for the chaos harness: skip replication forwarding
   /// while still acking writes. After a promotion, acknowledged writes are
   /// simply gone — the linearizability checker MUST fail. Never enable in
-  /// production configurations. (The HERD_DROP_REPLICATION build flag
-  /// forces this on for the CI canary build.)
+  /// production configurations. (chaos_runner --drop-replication sets it
+  /// in every replicated scenario.)
   bool drop_replication = false;
 
   // --- Overload robustness (herd/overload.hpp) ----------------------------

@@ -49,13 +49,6 @@ HerdService::HerdService(cluster::Host& host, const HerdConfig& cfg,
         "HerdConfigBuilder::validate)");
   }
   shed_enabled_ = cfg.overload.enable && !cfg.overload.drop_shedding;
-#ifdef HERD_DROP_SHEDDING
-  // Planted-bug canary build: admission control, the degraded-mode
-  // watermark, and deadline drops are all disarmed. Overload now collapses
-  // goodput exactly as an unprotected server's would — CI asserts the
-  // fig16 bench_compare gate catches the collapse.
-  shed_enabled_ = false;
-#endif
   auto& ctx = host.ctx();
   std::uint64_t cursor = region_.size_bytes();
 
@@ -227,12 +220,14 @@ void HerdService::crash_proc(std::uint32_t s) {
   p.resp_chain.clear();  // unflushed responses die with the process
   p.resp_chain_meta.clear();
   p.resp_coalesce = false;
+  // Replication factor 1: the shard's only copy lives in shared memory next
+  // to the request region, so the crash kills the process, not the copy —
+  // survivors serve the shard from it while the owner is suspected (see
+  // complete()), and there is no backup to promote or redundancy to lose.
   if (!cfg_.replicate) return;
 
-  // Replicated mode: the replicas are process memory — gone too. (The
-  // legacy single-copy model keeps the cache alive across crashes as a
-  // modeling shortcut; with real replication the data's durability comes
-  // from the copy on another process, so the shortcut is retired.)
+  // Replicated: the replicas are process memory — gone too. The data's
+  // durability comes from the copy on another process.
   p.replicas.clear();
   auto& engine = host_->ctx().engine();
   for (std::uint32_t sh = 0; sh < shard_map_.n_shards(); ++sh) {
@@ -264,36 +259,40 @@ void HerdService::recover_proc(std::uint32_t s) {
   p.alive = true;
   ++p.stats.recoveries;
 
-  if (!cfg_.replicate) {
-    if (cfg_.mode != RequestMode::kWriteUc) return;
-    // Remap the request region and rescan this chunk: WRITEs that the NIC
-    // DMA-ed while the process was down are still sitting in the slots.
+  // Remap the request region and rescan this chunk: WRITEs that the NIC
+  // DMA-ed while the process was down are still sitting in the slots. At
+  // replication factor 1 this process still owns its shard and serves them.
+  // Replicated, it restarts empty and is no longer a primary, so every one
+  // of those requests was failed over or is still being retried: the slot
+  // is cleared, not served.
+  if (cfg_.mode == RequestMode::kWriteUc) {
     for (std::uint32_t c = 0; c < cfg_.n_clients; ++c) {
       for (std::uint32_t r = 0; r < cfg_.window; ++r) {
         std::uint64_t slot_addr = region_.slot_addr(s, c, r);
         auto slot = host_->memory().span(slot_addr, kSlotBytes);
-        auto req = decode_request(slot, cfg_.request_tokens,
-                                  /*with_epoch=*/false, cfg_.overload.enable,
-                                  cfg_.trace);
+        auto req = decode_request(slot, cfg_.request_tokens, cfg_.replicate,
+                                  cfg_.overload.enable, cfg_.trace);
         if (!req) continue;
-        if (cfg_.request_tokens && cfg_.mutation_dedup &&
+        bool drop = cfg_.replicate;
+        if (!drop && cfg_.request_tokens && cfg_.mutation_dedup &&
             (req->is_put || req->is_delete)) {
           // A rescanned mutation may be arbitrarily stale: the client often
           // failed it over to a survivor while this process was down, and if
           // enough newer mutations followed, its dedup entry has aged out.
           // Apply only what is provably new (newer than every recorded
           // mutation from that client); for the rest, a duplicate entry
-          // replays in complete(), and the ambiguous remainder is dropped —
+          // replays in serve(), and the ambiguous remainder is dropped —
           // re-applying risks a lost update, while a client that still wants
           // the op is still retrying it.
           std::uint32_t part = shard_map_.shard_of(req->key);
           const TokenRing& ring =
               procs_[part]->replicas.at(part).seen_tokens.at(c);
-          if (!ring.find(req->token) && !ring.provably_new(req->token)) {
-            ++p.stats.rescan_dropped;
-            clear_slot(slot);
-            continue;
-          }
+          drop = !ring.find(req->token) && !ring.provably_new(req->token);
+        }
+        if (drop) {
+          ++p.stats.rescan_dropped;
+          clear_slot(slot);
+          continue;
         }
         Pending pend;
         pend.client = c;
@@ -305,26 +304,13 @@ void HerdService::recover_proc(std::uint32_t s) {
         p.arrivals.push_back(std::move(pend));
       }
     }
+  }
+  if (!cfg_.replicate) {
+    // Replication factor 1 has no shard roles to restore.
     if (!p.arrivals.empty()) schedule_advance(s, 0);
     return;
   }
 
-  // Replicated mode: the process restarts empty. Landed-while-dead slots
-  // are cleared, not served — this process is not a primary anymore, so
-  // every one of those requests was failed over or is still being retried.
-  if (cfg_.mode == RequestMode::kWriteUc) {
-    for (std::uint32_t c = 0; c < cfg_.n_clients; ++c) {
-      for (std::uint32_t r = 0; r < cfg_.window; ++r) {
-        auto slot =
-            host_->memory().span(region_.slot_addr(s, c, r), kSlotBytes);
-        if (decode_request(slot, cfg_.request_tokens, cfg_.replicate,
-                           cfg_.overload.enable, cfg_.trace)) {
-          ++p.stats.rescan_dropped;
-          clear_slot(slot);
-        }
-      }
-    }
-  }
   auto& engine = host_->ctx().engine();
   for (std::uint32_t sh = 0; sh < shard_map_.n_shards(); ++sh) {
     const ShardInfo si = shard_map_.at(sh);
@@ -870,10 +856,6 @@ void HerdService::complete(std::uint32_t s, const Pending& p) {
       tp->stage(p.request.trace_id, "mica_op", host_->ctx().engine().now());
     }
   }
-  if (!cfg_.replicate) {
-    complete_legacy(s, p);
-    return;
-  }
   Proc& proc = *procs_[s];
   ++proc.stats.requests;
   {
@@ -891,8 +873,16 @@ void HerdService::complete(std::uint32_t s, const Pending& p) {
 
   std::uint32_t shard = shard_map_.shard_of(p.request.key);
   const ShardInfo si = shard_map_.at(shard);
+  std::uint32_t owner = s;
   if (si.primary != s) {
-    if (si.backup == s && !procs_[si.primary]->alive) {
+    if (!cfg_.replicate) {
+      // Replication factor 1: a client failed over here while the primary
+      // was suspected. Serve the shard from its only copy, which outlives
+      // the primary's process (see crash_proc) — still one writer per shard
+      // because the crashed owner is not running.
+      ++proc.stats.foreign_serves;
+      owner = si.primary;
+    } else if (si.backup == s && !procs_[si.primary]->alive) {
       // We are the backup and the primary is down: the failure detector
       // will promote us shortly. Hold the request instead of bouncing the
       // client between a dead primary and a not-yet-promoted backup.
@@ -903,21 +893,22 @@ void HerdService::complete(std::uint32_t s, const Pending& p) {
       held.recv_addr = kNoRearm;
       proc.parked.push_back(std::move(held));
       return;
+    } else {
+      // Stale shard map (promotion or migration moved the shard): reject
+      // with the authoritative (primary, epoch) so the client refreshes.
+      ++proc.stats.stale_epoch_rejects;
+      send_redirect(s, p.client, p.request.token, si, p.request.trace_id,
+                    p.request.parent_span);
+      rearm(s, p);
+      return;
     }
-    // Stale shard map (promotion or migration moved the shard): reject
-    // with the authoritative (primary, epoch) so the client refreshes.
-    ++proc.stats.stale_epoch_rejects;
-    send_redirect(s, p.client, p.request.token, si, p.request.trace_id,
-                  p.request.parent_span);
-    rearm(s, p);
-    return;
   }
   if (p.request.epoch < static_cast<std::uint32_t>(si.epoch)) {
     // Routed correctly despite an old epoch (the client's map lagged but
     // pointed here anyway) — serve it, count it.
     ++proc.stats.stale_epoch_serves;
   }
-  serve(s, shard, procs_[s]->replicas.at(shard), p);
+  serve(s, shard, procs_[owner]->replicas.at(shard), p);
   rearm(s, p);
 }
 
@@ -966,12 +957,6 @@ void HerdService::serve(std::uint32_t s, std::uint32_t shard, Replica& rep,
     }
 
     bool drop = cfg_.drop_replication;
-#ifdef HERD_DROP_REPLICATION
-    // Planted-bug canary build: replication forwarding silently dropped.
-    // A promotion after a primary crash now loses acknowledged writes —
-    // CI asserts the linearizability checker catches exactly this.
-    drop = true;
-#endif
     const ShardInfo si = shard_map_.at(shard);
     const Migration& m = migrations_[shard];
     if (!drop && m.active && procs_[m.dest]->alive) {
@@ -1029,9 +1014,10 @@ void HerdService::serve(std::uint32_t s, std::uint32_t shard, Replica& rep,
       f.parent_span = p.request.parent_span;
       forward_mutation(std::move(f));
     } else {
-      // No live backup (lost redundancy, or the canary dropped the
-      // forward): ack directly, degraded.
-      ++proc.stats.repl_degraded;
+      // No live backup: ack directly. Replicated, that is degraded (lost
+      // redundancy, or the canary dropped the forward); at replication
+      // factor 1 there never was a backup.
+      if (cfg_.replicate) ++proc.stats.repl_degraded;
       post_response(s, p.client, status, {}, token, p.request.trace_id,
                     p.request.parent_span);
     }
@@ -1144,87 +1130,6 @@ void HerdService::deliver_forward(const Fwd& f) {
         }
         post_response(from, client, status, {}, token, trace_id, parent);
       });
-}
-
-void HerdService::complete_legacy(std::uint32_t s, const Pending& p) {
-  Proc& proc = *procs_[s];
-  ++proc.stats.requests;
-  {
-    obs::Tracer* tr = host_->ctx().tracer();
-    if (obs::tracing(tr)) {
-      const char* kind = p.request.is_delete ? "delete"
-                         : p.request.is_put  ? "put"
-                                             : "get";
-      tr->instant(proc.core->name(), std::string("serve_") + kind,
-                  host_->ctx().engine().now(),
-                  "client=" + std::to_string(p.client),
-                  obs::TraceCtx{p.request.trace_id, p.request.parent_span});
-    }
-  }
-
-  // EREW normally guarantees s == the key's shard. Under failover a
-  // client re-targets a surviving process, which serves the crashed
-  // process's partition from its replica (owner below) — still one writer
-  // per partition because the crashed owner is not running.
-  std::uint32_t part = shard_map_.shard_of(p.request.key);
-  Replica& owner = procs_[part]->replicas.at(part);
-  if (part != s) ++proc.stats.foreign_serves;
-
-  std::byte value_buf[kv::MicaCache::kMaxValue];
-  std::uint32_t token = p.request.token;
-  bool is_mutation = p.request.is_put || p.request.is_delete;
-  bool dedup = cfg_.request_tokens && cfg_.mutation_dedup && is_mutation;
-  sim::Tick now = host_->ctx().engine().now();
-  std::optional<std::uint8_t> replay =
-      dedup ? owner.seen_tokens.at(p.client).find(token) : std::nullopt;
-  if (replay) {
-    // Retry of an already-applied mutation (the original response was lost,
-    // or a failover re-sent it): replay the recorded result without
-    // re-applying. Replaying — not synthesizing kOk — matters: a DELETE of
-    // an absent key returned kNotFound, and acking its retry with kOk
-    // reports a deletion that never happened.
-    ++proc.stats.duplicate_mutations;
-    if (observer_ != nullptr) {
-      observer_->on_apply(s, p.client, p.request.key, p.request.is_delete,
-                          /*applied=*/false, now);
-    }
-    post_response(s, p.client, static_cast<RespStatus>(*replay), {}, token,
-                  p.request.trace_id, p.request.parent_span);
-  } else if (is_mutation) {
-    RespStatus status = RespStatus::kOk;
-    if (p.request.is_delete) {
-      ++proc.stats.deletes;
-      bool erased = owner.cache->erase(p.request.key);
-      if (!erased) status = RespStatus::kNotFound;
-    } else {
-      ++proc.stats.puts;
-      owner.cache->put(p.request.key, p.value);
-    }
-    if (dedup) {
-      owner.seen_tokens.at(p.client).insert(
-          token, static_cast<std::uint8_t>(status), now);
-    }
-    if (observer_ != nullptr) {
-      observer_->on_apply(s, p.client, p.request.key, p.request.is_delete,
-                          /*applied=*/true, now);
-    }
-    post_response(s, p.client, status, {}, token, p.request.trace_id,
-                  p.request.parent_span);
-  } else {
-    ++proc.stats.gets;
-    auto r = owner.cache->get(p.request.key, value_buf);
-    if (r.found) {
-      ++proc.stats.get_hits;
-      post_response(s, p.client, RespStatus::kOk,
-                    std::span<const std::byte>(value_buf, r.value_len),
-                    token, p.request.trace_id, p.request.parent_span);
-    } else {
-      post_response(s, p.client, RespStatus::kNotFound, {}, token,
-                    p.request.trace_id, p.request.parent_span);
-    }
-  }
-
-  rearm(s, p);
 }
 
 void HerdService::post_response(std::uint32_t s, std::uint32_t client,

@@ -91,19 +91,21 @@ class HerdService {
   /// Fail-stop crash of server process `s`: it stops polling, its pipeline
   /// state is lost, and requests landing in its region chunk go unseen.
   /// The NIC keeps DMA-ing WRITEs into the (shmget) request region — that
-  /// memory outlives the process. With replication on, the process's
-  /// replicas die with it (they are process memory) and each shard it was
-  /// primary of is promoted onto its backup after promotion_delay.
+  /// memory outlives the process. At replication factor 1 (replicate off)
+  /// the shard's only copy is shared memory too and survives the crash;
+  /// survivors serve it while the owner is down. With replication on, the
+  /// process's replicas die with it (they are process memory) and each
+  /// shard it was primary of is promoted onto its backup after
+  /// promotion_delay.
   void crash_proc(std::uint32_t s);
 
-  /// Restarts process `s`. Unreplicated: remaps the request region and
-  /// rescans its chunk for requests that landed while it was dead (the
-  /// MICA partition survives — the legacy recovery-from-replica model).
-  /// Replicated: the process comes back empty and rejoins by streaming
-  /// each shard that lost redundancy back from its current primary
-  /// (re-replication); landed-while-dead slots are cleared, not served —
-  /// this process is no longer a primary, so clients have failed the
-  /// requests over or are still retrying them.
+  /// Restarts process `s` and rescans its request-region chunk for
+  /// requests that landed while it was dead. At replication factor 1 the
+  /// process still owns its shard and serves them. Replicated: the process
+  /// comes back empty, clears those slots instead — it is no longer a
+  /// primary, so clients have failed the requests over or are still
+  /// retrying them — and rejoins by streaming each shard that lost
+  /// redundancy back from its current primary (re-replication).
   void recover_proc(std::uint32_t s);
 
   bool proc_alive(std::uint32_t s) const;
@@ -221,7 +223,7 @@ class HerdService {
   struct Proc {
     /// Replicas hosted by this process, keyed by shard (std::map: hosted
     /// shards iterate in deterministic order — replay depends on it).
-    /// Unreplicated mode hosts exactly one: shard s on process s.
+    /// Replication factor 1 hosts exactly one: shard s on process s.
     std::map<std::uint32_t, Replica> replicas;
     std::unique_ptr<cluster::SequentialCore> core;
     std::unique_ptr<verbs::Cq> send_cq;
@@ -306,7 +308,6 @@ class HerdService {
   void arm_noop_timer(std::uint32_t s);
   void advance(std::uint32_t s);
   void complete(std::uint32_t s, const Pending& p);
-  void complete_legacy(std::uint32_t s, const Pending& p);
   void serve(std::uint32_t s, std::uint32_t shard, Replica& rep,
              const Pending& p);
   void rearm(std::uint32_t s, const Pending& p);
@@ -358,7 +359,7 @@ class HerdService {
   MigrationStats migration_stats_;
 
   /// Overload shedding active: OverloadConfig::enable minus the
-  /// drop-shedding canary (runtime flag or HERD_DROP_SHEDDING build).
+  /// drop-shedding canary (OverloadConfig::drop_shedding).
   /// When the canary disarms shedding, the wire format keeps its overload
   /// header but admission, watermark, and deadline drops all vanish — the
   /// unprotected server the fig16 bench_compare gate must expose.

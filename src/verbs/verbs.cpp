@@ -51,13 +51,14 @@ void Cq::push(const Wc& wc, bool reserved) {
 
 Context::Context(sim::Engine& engine, rnic::Rnic& rnic, pcie::PcieLink& pcie,
                  fabric::Fabric& fabric, std::uint32_t port,
-                 HostMemory& memory)
+                 HostMemory& memory, bool doorbell_per_wr)
     : engine_(&engine),
       rnic_(&rnic),
       pcie_(&pcie),
       fabric_(&fabric),
       port_(port),
-      memory_(&memory) {}
+      memory_(&memory),
+      doorbell_per_wr_(doorbell_per_wr) {}
 
 ContractChecker& Context::enable_contract(ContractChecker::Mode mode) {
   if (contract_ == nullptr) {
@@ -256,12 +257,10 @@ void Qp::post_send(std::span<const SendWr> chain) {
       start_read(wr);
       continue;
     }
-#ifdef HERD_NO_DOORBELL_BATCH
-    // Canary build: forget the previous doorbell so every WR rings its own
-    // PIO transaction — the pre-batching cost model the fig04 bench_compare
-    // gate must catch.
-    doorbell_done = 0;
-#endif
+    // Doorbell-per-WR canary: forget the previous doorbell so every WR
+    // rings its own PIO transaction — the pre-batching cost model the fig04
+    // bench_compare gate must catch.
+    if (ctx_->doorbell_per_wr_) doorbell_done = 0;
     post_chained(wr, doorbell_done);
   }
 }

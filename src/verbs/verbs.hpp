@@ -183,8 +183,12 @@ class Qp {
 
 class Context {
  public:
+  /// `doorbell_per_wr` makes post_send(chain) ring one PIO doorbell per WR
+  /// instead of one per chain: the pre-batching posting model, kept only as
+  /// a planted-bug canary (cluster::ClusterConfig::doorbell_per_wr).
   Context(sim::Engine& engine, rnic::Rnic& rnic, pcie::PcieLink& pcie,
-          fabric::Fabric& fabric, std::uint32_t port, HostMemory& memory);
+          fabric::Fabric& fabric, std::uint32_t port, HostMemory& memory,
+          bool doorbell_per_wr);
   Context(const Context&) = delete;
   Context& operator=(const Context&) = delete;
 
@@ -255,6 +259,7 @@ class Context {
   fabric::Fabric* fabric_;
   std::uint32_t port_;
   HostMemory* memory_;
+  bool doorbell_per_wr_;
   obs::Tracer* tracer_ = nullptr;
   obs::TailProfiler* tail_ = nullptr;
   sim::LatencyHistogram chain_len_;

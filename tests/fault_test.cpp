@@ -287,10 +287,41 @@ TEST(HerdFaults, CrashFailoverGracefulDegradation) {
   cfg.resilience.probe_interval = sim::ms(1);
   core::HerdTestbed bed(cfg);
 
+  // Unreplicated HERD is the replication-factor-1 case of the replicated
+  // serve path: a failed-over request is a foreign serve, never a forward,
+  // a degraded ack, a redirect, or a park. Stats reset per run, so this is
+  // checked after every run.
+  auto expect_no_replication_activity = [&bed](const char* phase) {
+    core::HerdService::ProcStats sum;
+    for (std::uint32_t s = 0; s < bed.service().config().n_server_procs;
+         ++s) {
+      const core::HerdService::ProcStats& st = bed.service().proc_stats(s);
+      sum.repl_forwards += st.repl_forwards;
+      sum.repl_acks += st.repl_acks;
+      sum.repl_degraded += st.repl_degraded;
+      sum.repl_dropped += st.repl_dropped;
+      sum.stale_epoch_rejects += st.stale_epoch_rejects;
+      sum.parked += st.parked;
+      sum.promotions += st.promotions;
+      sum.rejoins += st.rejoins;
+      sum.lost_shards += st.lost_shards;
+    }
+    EXPECT_EQ(sum.repl_forwards, 0u) << phase;
+    EXPECT_EQ(sum.repl_acks, 0u) << phase;
+    EXPECT_EQ(sum.repl_degraded, 0u) << phase;
+    EXPECT_EQ(sum.repl_dropped, 0u) << phase;
+    EXPECT_EQ(sum.stale_epoch_rejects, 0u) << phase;
+    EXPECT_EQ(sum.parked, 0u) << phase;
+    EXPECT_EQ(sum.promotions, 0u) << phase;
+    EXPECT_EQ(sum.rejoins, 0u) << phase;
+    EXPECT_EQ(sum.lost_shards, 0u) << phase;
+  };
+
   // Pre-crash baseline: warmup [0,1) ms, measure [1,3) ms.
   auto before = bed.run(sim::ms(1), sim::ms(2));
   EXPECT_GT(before.ops, 300u);
   EXPECT_EQ(before.value_mismatches, 0u);
+  expect_no_replication_activity("before");
 
   // Crash at 4 ms lands in this warmup [3,5) ms; measure [5,7) ms runs
   // entirely with process 0 dead and all traffic failed over.
@@ -302,6 +333,7 @@ TEST(HerdFaults, CrashFailoverGracefulDegradation) {
   // floor sits a touch below the pre-batching 0.9.
   EXPECT_GE(static_cast<double>(during.ops),
             0.85 * static_cast<double>(before.ops));
+  expect_no_replication_activity("during");
 
   // Recovery at 9 ms: process 0 rescans its region chunk; requests it finds
   // were often also failed over to process 1, so the duplicate-suppression
@@ -309,6 +341,7 @@ TEST(HerdFaults, CrashFailoverGracefulDegradation) {
   auto after = bed.run(sim::ms(1), sim::ms(3));
   EXPECT_EQ(after.value_mismatches, 0u);
   EXPECT_EQ(after.get_misses, 0u);  // every acked PUT stayed visible
+  expect_no_replication_activity("after");
 
   // fault.* counters live in the injector and survive per-run stat resets.
   obs::Snapshot rep = bed.snapshot();
@@ -324,6 +357,7 @@ TEST(HerdFaults, CrashFailoverGracefulDegradation) {
   for (std::size_t c = 0; c < bed.num_clients(); ++c) {
     EXPECT_EQ(bed.client(c).outstanding(), 0u) << "client " << c;
   }
+  expect_no_replication_activity("drain");
 }
 
 TEST(Backoff, ScheduleIsMonotoneCappedAndOverflowFree) {

@@ -2,7 +2,10 @@
 // these double as regression tests for the calibrated substrate.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "microbench/echo.hpp"
+#include "microbench/microbench.hpp"
 #include "microbench/throughput.hpp"
 #include "microbench/verb_latency.hpp"
 
@@ -68,13 +71,33 @@ TEST(OutboundTput, DoorbellBatchingFlattensInlineWriteKnee) {
   // posting halves PIO throughput beyond that (§3.2.2's 64-byte staircase).
   // With doorbell batching only the chain head crosses PIO, so the knee
   // disappears and both payloads run at the (higher) wire-limited rate.
-  // The HERD_NO_DOORBELL_BATCH canary restores the staircase.
   TputSpec below{verbs::Opcode::kWrite, verbs::Transport::kUc, true, 28, 8, 4};
   TputSpec above{verbs::Opcode::kWrite, verbs::Transport::kUc, true, 40, 8, 4};
   double b = outbound_tput(kApt, below);
   double a = outbound_tput(kApt, above);
   EXPECT_NEAR(b, a, b * 0.1);  // knee gone: no staircase between 28 and 40 B
   EXPECT_GT(b, 28.0);          // and both clear the old PIO-capped plateau
+
+  // The doorbell-per-WR canary (the regression the fig04 gate must catch)
+  // restores the staircase: chains still form, but every WR rings its own
+  // PIO doorbell again.
+  cluster::ClusterConfig per_wr = kApt;
+  per_wr.doorbell_per_wr = true;
+  double b_per_wr = outbound_tput(per_wr, below);
+  double a_per_wr = outbound_tput(per_wr, above);
+  // Outside the 10% band the batched rates share: the knee is back.
+  EXPECT_LT(a_per_wr, 0.9 * b_per_wr);
+  EXPECT_LT(a_per_wr, 0.9 * a);
+  const obs::Snapshot& snap = microbench::last_run().snapshot;
+  const obs::HistogramStats& chains =
+      snap.histograms().at("verbs.host0.chain_len");
+  ASSERT_GT(chains.max, 1) << "the pump still posts multi-WR chains";
+  // The histogram records chain lengths as ticks: its sum is the number of
+  // WRs the server posted.
+  auto posted = static_cast<std::uint64_t>(std::llround(
+      chains.mean_ns * 1e3 * static_cast<double>(chains.count)));
+  EXPECT_EQ(snap.value("pcie.host0.doorbells"), posted);
+  EXPECT_EQ(snap.value("rnic.host0.wqe_fetches"), 0u);
 }
 
 TEST(OutboundTput, DoorbellBatchingClosesUdSendGap) {
