@@ -523,6 +523,17 @@ std::size_t match_close(const std::vector<Token>& code, std::size_t open,
   return end;
 }
 
+/// Tracer calls that open a span a later call must close: span_begin, and
+/// request_begin (a sampled request's root span, closed by request_end).
+bool is_open_call(const Token& t) {
+  return t.kind == Tok::kIdent &&
+         (t.text == "span_begin" || t.text == "request_begin");
+}
+bool is_close_call(const Token& t) {
+  return t.kind == Tok::kIdent &&
+         (t.text == "span_end" || t.text == "request_end");
+}
+
 bool range_mentions(const std::vector<Token>& code, std::size_t begin,
                     std::size_t end, std::string_view name) {
   for (std::size_t i = begin; i < end; ++i) {
@@ -531,8 +542,10 @@ bool range_mentions(const std::vector<Token>& code, std::size_t begin,
   return false;
 }
 
-/// One span_begin call site plus what the rule learned about its id.
+/// One span-opening call site plus what the rule learned about its id.
 struct SpanOpen {
+  std::string call;                 // span_begin / request_begin
+  std::string close;                // its closing call
   std::uint32_t line = 0;
   std::string receiver;             // identifier assigned the SpanId
   bool discarded = false;           // no assignment at all
@@ -541,10 +554,12 @@ struct SpanOpen {
 };
 
 /// Recovers `recv = obj->span_begin` / `return tr.span_begin` shape by
-/// walking backwards from the `span_begin` token over the object chain.
+/// walking backwards from the opening call's token over the object chain.
 SpanOpen classify_open(const std::vector<Token>& code, std::size_t begin_tok,
                        std::size_t body_begin) {
   SpanOpen open;
+  open.call = code[begin_tok].text;
+  open.close = open.call == "span_begin" ? "span_end" : "request_end";
   open.line = code[begin_tok].line;
   std::size_t j = begin_tok;
   while (j > body_begin) {
@@ -572,20 +587,17 @@ SpanOpen classify_open(const std::vector<Token>& code, std::size_t begin_tok,
 }  // namespace
 
 void run_span_pairing(const FlowContext& ctx, std::vector<Violation>& out) {
-  // Everything any span_end call in the tree names. A span id stowed into a
+  // Everything any closing call in the tree names. A span id stowed into a
   // member counts as closed when some function — any TU, the close is often
-  // in a different method of the same class — passes that member to
-  // span_end ("root_span" pairs `fl.root_span = root` with
-  // `tr->span_end(it->root_span, ...)`).
+  // in a different method of the same class — passes that member to a
+  // close ("trace" pairs `fl.trace = trace` with
+  // `tr->request_end(..., it->trace, ...)`).
   std::set<std::string, std::less<>> ended;
   for (const TuIndex& tu : ctx.tus) {
     const std::vector<Token>& code = tu.code;
     for (const FunctionDef& fn : tu.functions) {
       for (std::size_t i = fn.body_begin; i + 1 < fn.body_end; ++i) {
-        if (code[i].kind != Tok::kIdent || code[i].text != "span_end" ||
-            !tok_is(code[i + 1], "(")) {
-          continue;
-        }
+        if (!is_close_call(code[i]) || !tok_is(code[i + 1], "(")) continue;
         std::size_t close = match_close(code, i + 1, fn.body_end);
         for (std::size_t k = i + 2; k < close; ++k) {
           if (code[k].kind == Tok::kIdent) ended.emplace(code[k].text);
@@ -600,10 +612,7 @@ void run_span_pairing(const FlowContext& ctx, std::vector<Violation>& out) {
     const std::vector<Token>& code = tu.code;
     for (const FunctionDef& fn : tu.functions) {
       for (std::size_t i = fn.body_begin; i + 1 < fn.body_end; ++i) {
-        if (code[i].kind != Tok::kIdent || code[i].text != "span_begin" ||
-            !tok_is(code[i + 1], "(")) {
-          continue;
-        }
+        if (!is_open_call(code[i]) || !tok_is(code[i + 1], "(")) continue;
         SpanOpen open = classify_open(code, i, fn.body_begin);
         open.open_end = match_close(code, i + 1, fn.body_end) + 1;
         i = open.open_end - 1;
@@ -611,18 +620,18 @@ void run_span_pairing(const FlowContext& ctx, std::vector<Violation>& out) {
         if (open.discarded) {
           out.push_back(
               {fn.file, open.line, "span-pairing",
-               "result of span_begin in " + fn.name +
+               "result of " + open.call + " in " + fn.name +
                    " is discarded: the span can never be closed and exports "
                    "as a lone \"B\" event"});
           continue;
         }
         // Uses of the receiver after the begin call.
-        std::size_t first_end = 0;      // first local span_end naming it
+        std::size_t first_end = 0;      // first local close naming it
         std::vector<std::string> members;  // `obj.member = receiver` stores
         bool other_use = false;
         for (std::size_t k = open.open_end; k < fn.body_end; ++k) {
-          if (code[k].kind == Tok::kIdent && code[k].text == "span_end" &&
-              k + 1 < fn.body_end && tok_is(code[k + 1], "(")) {
+          if (is_close_call(code[k]) && k + 1 < fn.body_end &&
+              tok_is(code[k + 1], "(")) {
             std::size_t close = match_close(code, k + 1, fn.body_end);
             if (range_mentions(code, k + 2, close, open.receiver) &&
                 first_end == 0) {
@@ -649,8 +658,8 @@ void run_span_pairing(const FlowContext& ctx, std::vector<Violation>& out) {
             if (code[k].kind == Tok::kIdent && code[k].text == "return") {
               out.push_back(
                   {fn.file, code[k].line, "span-pairing",
-                   "return leaves " + fn.name + " before span_end closes '" +
-                       open.receiver +
+                   "return leaves " + fn.name + " before " + open.close +
+                       " closes '" + open.receiver +
                        "' (begin at line " + std::to_string(open.line) +
                        "): the span leaks on this path"});
             }
@@ -665,9 +674,10 @@ void run_span_pairing(const FlowContext& ctx, std::vector<Violation>& out) {
           if (!closed) {
             out.push_back(
                 {fn.file, open.line, "span-pairing",
-                 "span id from span_begin in " + fn.name +
+                 "span id from " + open.call + " in " + fn.name +
                      " is stored into '" + members.front() +
-                     "' but nothing in the tree ever passes it to span_end"});
+                     "' but nothing in the tree ever passes it to " +
+                     open.close});
           }
           continue;
         }
@@ -677,7 +687,7 @@ void run_span_pairing(const FlowContext& ctx, std::vector<Violation>& out) {
         if (!other_use) {
           out.push_back(
               {fn.file, open.line, "span-pairing",
-               "'" + open.receiver + "' is opened by span_begin in " +
+               "'" + open.receiver + "' is opened by " + open.call + " in " +
                    fn.name +
                    " but never closed or used again: the span leaks"});
         }

@@ -12,12 +12,14 @@
 //                     wall-clock/entropy sink through a helper defined
 //                     outside the simulation directories (the per-file
 //                     determinism rule cannot see the transitive leak)
-//   span-pairing      every obs::Tracer::span_begin in src/herd must reach
-//                     a span_end on all paths: an early return between the
-//                     begin and its local end leaks the span, and a span id
-//                     stowed into a member must be closed somewhere in the
-//                     tree (an open span exports as a lone "B" event and
-//                     the trace tooling downstream rejects the file)
+//   span-pairing      every obs::Tracer::span_begin (or request_begin,
+//                     a sampled request's root span) in src/herd must reach
+//                     its span_end (request_end) on all paths: an early
+//                     return between the begin and its local end leaks the
+//                     span, and a span id stowed into a member must be
+//                     closed somewhere in the tree (an open span exports as
+//                     a lone "B" event and the trace tooling downstream
+//                     rejects the file)
 //
 // All four consume the per-TU indexes plus the cross-TU constant table and
 // call graph; none of them re-reads source text.

@@ -116,7 +116,6 @@ Cluster::Cluster(const ClusterConfig& cfg, std::size_t n_hosts,
     h.rnic().register_resources(resources_, "rnic.host" + idx);
     h.pcie().set_tracer(&tracer_);
     h.ctx().set_tracer(&tracer_);
-    h.ctx().set_tail(&tail_);
   }
   registry_.counter_fn("contract.violations",
                        [this] { return contract_violations(); });

@@ -160,12 +160,12 @@ class Cluster {
   obs::Tracer& tracer() { return tracer_; }
   const obs::Tracer& tracer() const { return tracer_; }
 
-  /// The cluster-wide per-request tail profiler. Producers on both sides
-  /// of the wire (HERD client and service) mark stages against the same
-  /// sampled trace ids; sim time is global, so the telescoping stage sums
-  /// equal end-to-end latency exactly. Off until TailProfiler::enable().
-  obs::TailProfiler& tail() { return tail_; }
-  const obs::TailProfiler& tail() const { return tail_; }
+  /// The cluster-wide per-request tail profiler: the tracer's, fed by the
+  /// HERD client's and service's hop calls against the same sampled trace
+  /// ids. Sim time is global, so the telescoping stage sums equal
+  /// end-to-end latency exactly. Empty until a sampled request retires.
+  obs::TailProfiler& tail() { return tracer_.tail(); }
+  const obs::TailProfiler& tail() const { return tracer_.tail(); }
 
   /// The flight recorder's resource directory. Every contended
   /// sim::Resource (fabric link directions, per-host PCIe paths and RNIC
@@ -187,7 +187,6 @@ class Cluster {
   obs::MetricRegistry registry_;
   obs::ResourceRegistry resources_;
   obs::Tracer tracer_;
-  obs::TailProfiler tail_;
   fabric::Fabric fabric_;
   std::vector<std::unique_ptr<Host>> hosts_;
 };

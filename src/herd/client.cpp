@@ -165,33 +165,18 @@ void HerdClient::issue(const workload::Op& op) {
 
     sim::Tick now = host_->ctx().engine().now();
     std::uint64_t seq = next_seq_++;
-    obs::Tracer* tr = host_->ctx().tracer();
-    if (tr != nullptr && trace_seq_ == 0 && tr->sample()) {
-      // This request is sampled: the window stays open (and every layer
-      // records) until it reaches a terminal state.
-      trace_seq_ = seq;
+    obs::Tracer& tr = *host_->ctx().tracer();
+    auto seq_args = [seq] { return "seq=" + std::to_string(seq); };
+    // A sampled request keeps its window open (every layer records) and
+    // its causal identity across every re-send, until a terminal state.
+    obs::TraceCtx trace;
+    if (!sampling_) {
+      trace = tr.request_begin(core_.name(), now - cost,
+                               (std::uint64_t{id_} << 32) | seq, seq_args);
+      sampling_ = trace.sampled();
     }
-    // The sampled request's causal identity, kept across every re-send.
-    std::uint64_t trace_id =
-        trace_seq_ == seq ? (std::uint64_t{id_} << 32) | seq : 0;
-    obs::SpanId root = 0;
-    if (obs::tracing(tr)) {
-      if (trace_id != 0) {
-        // Root span: opened here, closed at the terminal state — every hop
-        // of the request's lifetime nests under it.
-        root = tr->span_begin(core_.name(), "request", now - cost,
-                              "seq=" + std::to_string(seq),
-                              obs::TraceCtx{trace_id, 0});
-      }
-      tr->span(core_.name(), "client_post", now - cost, now,
-               "seq=" + std::to_string(seq), obs::TraceCtx{trace_id, root});
-    }
-    if (trace_id != 0) {
-      if (obs::TailProfiler* tp = host_->ctx().tail()) {
-        tp->begin(trace_id, now - cost);
-        tp->stage(trace_id, "client_post", now);
-      }
-    }
+    tr.hop_span(core_.name(), "client_post", now - cost, now, trace,
+                "client_post", seq_args);
     if (observer_ != nullptr) observer_->on_invoke(id_, seq, op, now);
     InFlight fl;
     fl.sent = now;
@@ -200,8 +185,7 @@ void HerdClient::issue(const workload::Op& op) {
     fl.r = r;
     fl.target = s;
     fl.posts = 1;
-    fl.trace_id = trace_id;
-    fl.root_span = root;
+    fl.trace = trace;
     fl.op = op;
     sim::Tick deadline = fl.deadline;
     inflight_[s].push_back(fl);
@@ -217,7 +201,7 @@ void HerdClient::issue(const workload::Op& op) {
         break;
     }
 
-    post_request(s, r, op, seq, deadline, trace_id, root);
+    post_request(s, r, op, seq, deadline, trace);
     arm_timer(s, seq);
   });
 }
@@ -266,8 +250,7 @@ void HerdClient::resume_held() {
 // shared by first transmission, retries, and failover re-issues).
 void HerdClient::post_request(std::uint32_t s, std::uint64_t r,
                               const workload::Op& op, std::uint64_t seq,
-                              sim::Tick deadline, std::uint64_t trace_id,
-                              std::uint32_t parent_span) {
+                              sim::Tick deadline, obs::TraceCtx trace) {
   auto& mem = host_->memory();
   std::uint64_t stage = req_base_ + (req_slot_++ % kReqRing) * kSlotBytes;
   auto slot = mem.span(stage, kSlotBytes);
@@ -293,8 +276,8 @@ void HerdClient::post_request(std::uint32_t s, std::uint64_t r,
   if (cfg_.trace) {
     // Every re-send re-encodes the SAME trace id: retries, redirects, and
     // failover re-sends are hops of one trace, not new traces.
-    req.trace_id = trace_id;
-    req.parent_span = parent_span;
+    req.trace_id = trace.trace_id;
+    req.parent_span = trace.parent;
   }
   if (req.is_put) {
     value.resize(op.value_len);
@@ -389,6 +372,32 @@ void HerdClient::arm_timer(std::uint32_t s, std::uint64_t seq) {
       delay, [this, s, seq, attempt]() { on_timer(s, seq, attempt); });
 }
 
+template <typename Args>
+void HerdClient::resend(const InFlight& fl, std::string_view event,
+                        std::string_view stage, bool recv_credit,
+                        Args&& args) {
+  if (fl.trace.sampled()) {
+    host_->ctx().tracer()->hop(core_.name(), event,
+                               host_->ctx().engine().now(), fl.trace, stage,
+                               args);
+  }
+  sim::Tick cost =
+      (recv_credit ? cpu_.post_recv : 0) + kComposeCost + cpu_.post_send;
+  core_.run(cost, [this, to = fl.target, r = fl.r, op = fl.op, seq = fl.seq,
+                   deadline = fl.deadline, trace = fl.trace, recv_credit]() {
+    if (recv_credit) {
+      // The RECV credit posted at issue() time sits on the old target's
+      // QP; the response now arrives on `to`'s UD QP, and a UD SEND with
+      // no posted RECV is silently dropped (RNR). Post a credit there or
+      // every response to this request is lost.
+      repost_recv(to, resp_base_ + (std::uint64_t{to} * cfg_.window +
+                                    recv_slot_[to]++ % cfg_.window) *
+                                       kRespStride);
+    }
+    post_request(to, r, op, seq, deadline, trace);
+  });
+}
+
 void HerdClient::on_timer(std::uint32_t s, std::uint64_t seq,
                           std::uint32_t armed_attempt) {
   auto it = inflight_[s].begin();
@@ -414,22 +423,11 @@ void HerdClient::on_timer(std::uint32_t s, std::uint64_t seq,
         observer_->on_deadline(id_, it->seq, now);
       }
     }
-    if (trace_seq_ == it->seq) {
-      obs::Tracer* tr = host_->ctx().tracer();
-      if (tr != nullptr) {
-        tr->instant(core_.name(), "deadline_exceeded", now, {},
-                    obs::TraceCtx{it->trace_id, it->root_span});
-        if (it->root_span != 0) tr->span_end(it->root_span, now);
-        tr->release();
-      }
-      trace_seq_ = 0;
-    }
-    if (it->trace_id != 0) {
-      if (obs::TailProfiler* tp = host_->ctx().tail()) {
-        tp->finish(it->trace_id,
-                   never_applied ? "shed_never_applied" : "deadline", now,
-                   "deadline_wait");
-      }
+    if (it->trace.sampled()) {
+      host_->ctx().tracer()->request_end(
+          core_.name(), "deadline_exceeded", now, it->trace,
+          never_applied ? "shed_never_applied" : "deadline", "deadline_wait");
+      sampling_ = false;
     }
     inflight_[s].erase(it);
     ++stats_.deadline_exceeded;
@@ -473,7 +471,6 @@ void HerdClient::on_timer(std::uint32_t s, std::uint64_t seq,
     }
   }
 
-  std::uint32_t target = s;
   if (failover_enabled() && proc_down_[s]) {
     // The process was declared dead after this request was (re-)sent to it
     // (e.g. a probe that went unanswered): individually re-route.
@@ -490,28 +487,11 @@ void HerdClient::on_timer(std::uint32_t s, std::uint64_t seq,
   ++it->attempt;
   ++it->posts;
   ++stats_.retries;
-  std::uint64_t r = it->r;
-  workload::Op op = it->op;
-  sim::Tick deadline = it->deadline;
-  std::uint64_t trace_id = it->trace_id;
-  std::uint32_t root = it->root_span;
-  if (trace_id != 0) {
-    obs::Tracer* tr = host_->ctx().tracer();
-    if (obs::tracing(tr)) {
-      tr->instant(core_.name(), "retry", now,
-                  "attempt=" + std::to_string(it->attempt),
-                  obs::TraceCtx{trace_id, root});
-    }
-    // The silent interval since the last mark was spent waiting out the
-    // lost attempt — charge it to the retry, not to whatever came before.
-    if (obs::TailProfiler* tp = host_->ctx().tail()) {
-      tp->stage(trace_id, "retry_wait", now);
-    }
-  }
-  core_.run(kComposeCost + cpu_.post_send,
-            [this, target, r, op, seq, deadline, trace_id, root]() {
-              post_request(target, r, op, seq, deadline, trace_id, root);
-            });
+  // The silent interval since the last mark was spent waiting out the lost
+  // attempt — charge it to the retry, not to whatever came before.
+  resend(*it, "retry", "retry_wait", false, [attempt = it->attempt] {
+    return "attempt=" + std::to_string(attempt);
+  });
   arm_timer(s, seq);
 }
 
@@ -521,43 +501,15 @@ void HerdClient::on_timer(std::uint32_t s, std::uint64_t seq,
 // nothing about the new target, and carrying them over would make the first
 // loss on the healthy path cost a near-max backoff. The deadline (absolute)
 // still bounds the request's total lifetime.
-void HerdClient::reissue(InFlight fl, std::uint32_t to, const char* stage) {
+void HerdClient::reissue(InFlight fl, std::uint32_t to,
+                         std::string_view stage) {
   fl.target = to;
   fl.r = next_r_[to]++;
   fl.attempt = 0;
   ++fl.posts;
   std::uint64_t seq = fl.seq;
-  std::uint64_t r = fl.r;
-  workload::Op op = fl.op;
-  sim::Tick deadline = fl.deadline;
-  std::uint64_t trace_id = fl.trace_id;
-  std::uint32_t root = fl.root_span;
-  if (trace_id != 0) {
-    sim::Tick now = host_->ctx().engine().now();
-    obs::Tracer* tr = host_->ctx().tracer();
-    if (obs::tracing(tr)) {
-      tr->instant(core_.name(), stage, now, "to=" + std::to_string(to),
-                  obs::TraceCtx{trace_id, root});
-    }
-    if (obs::TailProfiler* tp = host_->ctx().tail()) {
-      tp->stage(trace_id, stage, now);
-    }
-  }
+  resend(fl, stage, stage, true, [to] { return "to=" + std::to_string(to); });
   inflight_[to].push_back(std::move(fl));
-  core_.run(cpu_.post_recv + kComposeCost + cpu_.post_send,
-            [this, to, r, op, seq, deadline, trace_id, root]() {
-              // The RECV credit posted at issue() time sits on the old
-              // target's QP; the response now arrives on `to`'s UD QP, and a
-              // UD SEND with no posted RECV is silently dropped (RNR). Post
-              // a credit there or every response to this request is lost.
-              std::uint64_t rbuf = resp_base_ +
-                                   (std::uint64_t{to} * cfg_.window +
-                                    recv_slot_[to]++ % cfg_.window) *
-                                       kRespStride;
-              ud_qps_[to]->post_recv(
-                  {.wr_id = rbuf, .sge = {rbuf, kRespStride, arena_mr_.lkey}});
-              post_request(to, r, op, seq, deadline, trace_id, root);
-            });
   arm_timer(to, seq);
 }
 
@@ -603,26 +555,8 @@ void HerdClient::retry_after_shed(std::uint32_t s, std::uint64_t seq) {
   it->hold_until = 0;
   ++it->posts;
   ++stats_.retries;
-  std::uint64_t r = it->r;
-  workload::Op op = it->op;
-  sim::Tick deadline = it->deadline;
-  std::uint64_t trace_id = it->trace_id;
-  std::uint32_t root = it->root_span;
-  if (trace_id != 0) {
-    obs::Tracer* tr = host_->ctx().tracer();
-    if (obs::tracing(tr)) {
-      tr->instant(core_.name(), "shed_retry", now, {},
-                  obs::TraceCtx{trace_id, root});
-    }
-    // Time parked waiting out the server's retry-after hint.
-    if (obs::TailProfiler* tp = host_->ctx().tail()) {
-      tp->stage(trace_id, "backoff_hold", now);
-    }
-  }
-  core_.run(kComposeCost + cpu_.post_send,
-            [this, s, r, op, seq, deadline, trace_id, root]() {
-              post_request(s, r, op, seq, deadline, trace_id, root);
-            });
+  // Time parked waiting out the server's retry-after hint.
+  resend(*it, "shed_retry", "backoff_hold", false, obs::NoArgs{});
 }
 
 void HerdClient::repost_recv(std::uint32_t s, std::uint64_t buf) {
@@ -711,17 +645,11 @@ void HerdClient::handle_response(const verbs::Wc& wc) {
     repost_recv(s, wc.wr_id);
     ++stats_.overload_sheds;
     ++fl.sheds;
-    if (fl.trace_id != 0) {
-      sim::Tick now = host_->ctx().engine().now();
-      obs::Tracer* tr = host_->ctx().tracer();
-      if (obs::tracing(tr)) {
-        tr->instant(core_.name(), "overload_shed", now, {},
-                    obs::TraceCtx{fl.trace_id, fl.root_span});
-      }
+    if (fl.trace.sampled()) {
       // The shed reply's flight back to us since the server's last mark.
-      if (obs::TailProfiler* tp = host_->ctx().tail()) {
-        tp->stage(fl.trace_id, "net_out", now);
-      }
+      host_->ctx().tracer()->hop(core_.name(), "overload_shed",
+                                 host_->ctx().engine().now(), fl.trace,
+                                 "net_out");
     }
     breaker_on_shed(s);
     sim::Tick hint = 0;
@@ -778,25 +706,11 @@ void HerdClient::handle_response(const verbs::Wc& wc) {
   ++stats_.completed;
   sim::Tick done = host_->ctx().engine().now();
   latency_.record(done - fl.sent);
-  if (trace_seq_ == fl.seq) {
-    obs::Tracer* tr = host_->ctx().tracer();
-    if (tr != nullptr) {
-      if (tr->active()) {
-        if (fl.root_span != 0) {
-          tr->span_end(fl.root_span, done, "seq=" + std::to_string(fl.seq));
-        } else {
-          tr->span(core_.name(), "request", fl.sent, done,
-                   "seq=" + std::to_string(fl.seq));
-        }
-      }
-      tr->release();
-    }
-    trace_seq_ = 0;
-  }
-  if (fl.trace_id != 0) {
-    if (obs::TailProfiler* tp = host_->ctx().tail()) {
-      tp->finish(fl.trace_id, "ok", done);
-    }
+  if (fl.trace.sampled()) {
+    host_->ctx().tracer()->request_end(
+        core_.name(), {}, done, fl.trace, "ok", "net_out",
+        [seq = fl.seq] { return "seq=" + std::to_string(seq); });
+    sampling_ = false;
   }
   assert(outstanding_ > 0);
   --outstanding_;

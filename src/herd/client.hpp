@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -150,12 +151,12 @@ class HerdClient {
     /// Retry-after hold: on_timer must not re-post before this tick (set
     /// from a kOverloaded hint; 0 = no hold).
     sim::Tick hold_until = 0;
-    /// Causal identity of the sampled request: (client id << 32) | seq of
-    /// the FIRST attempt, preserved verbatim across retries, redirects,
-    /// failover re-sends, and shed/backoff cycles (0 = not sampled).
-    std::uint64_t trace_id = 0;
-    /// The open "request" root span (closed at the terminal state).
-    obs::SpanId root_span = 0;
+    /// Causal identity of the sampled request: trace id (client id << 32)
+    /// | seq of the FIRST attempt, preserved verbatim across retries,
+    /// redirects, failover re-sends, and shed/backoff cycles (0 = not
+    /// sampled), and its open "request" root span as parent (closed at the
+    /// terminal state).
+    obs::TraceCtx trace{};
     workload::Op op{};
   };
 
@@ -163,7 +164,7 @@ class HerdClient {
   void issue(const workload::Op& op);
   void post_request(std::uint32_t s, std::uint64_t r, const workload::Op& op,
                     std::uint64_t seq, sim::Tick deadline,
-                    std::uint64_t trace_id = 0, std::uint32_t parent_span = 0);
+                    obs::TraceCtx trace);
   void arm_timer(std::uint32_t s, std::uint64_t seq);
   void on_timer(std::uint32_t s, std::uint64_t seq,
                 std::uint32_t armed_attempt);
@@ -198,10 +199,18 @@ class HerdClient {
   std::uint32_t failover_target(const InFlight& fl, std::uint32_t s) const;
   /// Moves every outstanding request off suspected-dead process `s`.
   void fail_over_outstanding(std::uint32_t s);
-  /// `stage` names both the tracer instant and the tail-profiler stage the
-  /// elapsed wait is charged to ("redirect_rtt" / "failover_wait").
+  /// `stage` names both the tracer instant and the tail stage the elapsed
+  /// wait is charged to ("redirect_rtt" / "failover_wait").
   void reissue(InFlight fl, std::uint32_t to,
-               const char* stage = "failover_wait");
+               std::string_view stage = "failover_wait");
+  /// The one re-send path (timer retry, shed retry, reissue): marks the hop
+  /// — tracer event `event`, tail stage `stage`, detail `args` — and
+  /// re-posts `fl` to fl.target after the compose + post cost.
+  /// `recv_credit` first posts a RECV on the target's UD QP, for a request
+  /// moved off the QP its issue-time credit sits on.
+  template <typename Args>
+  void resend(const InFlight& fl, std::string_view event,
+              std::string_view stage, bool recv_credit, Args&& args);
   void repost_recv(std::uint32_t s, std::uint64_t buf);
 
   cluster::Host* host_;
@@ -253,11 +262,12 @@ class HerdClient {
   HistoryObserver* observer_ = nullptr;
   Stats stats_;
   sim::LatencyHistogram latency_;
-  /// seq of the request currently holding a tracer sampling window open
-  /// (0 = none). The client is the sampling driver: it opens the window
-  /// when a sampled request is posted, so every downstream layer records,
-  /// and releases it when the request reaches a terminal state.
-  std::uint64_t trace_seq_ = 0;
+  /// True while one of this client's requests holds a tracer sampling
+  /// window open. The client is the sampling driver: it offers a request
+  /// to the sampler only when none of its own is sampled, so every
+  /// downstream layer records while the sampled one is in flight, and the
+  /// window closes when that request reaches a terminal state.
+  bool sampling_ = false;
 };
 
 }  // namespace herd::core

@@ -19,6 +19,11 @@ constexpr std::uint32_t kRecvStride = kSlotBytes + verbs::kGrhBytes;
 /// through the parked queue); serving it again must not clear the slot or
 /// double-post a RECV credit.
 constexpr std::uint64_t kNoRearm = ~0ull;
+
+/// The "client=<id>" detail of a hop event, built only if it is recorded.
+auto client_args(std::uint32_t client) {
+  return [client] { return "client=" + std::to_string(client); };
+}
 }  // namespace
 
 HerdService::HerdService(cluster::Host& host, const HerdConfig& cfg,
@@ -523,12 +528,6 @@ void HerdService::on_region_write(std::uint32_t s, std::uint64_t addr) {
   pend.value.assign(req->value.begin(), req->value.end());
   pend.request.value = {};
   pend.slot_addr = slot_addr;
-  pend.detected = host_->ctx().engine().now();
-  if (req->trace_id != 0) {
-    if (obs::TailProfiler* tp = host_->ctx().tail()) {
-      tp->stage(req->trace_id, "net_in", pend.detected);
-    }
-  }
   if (!try_admit(s, std::move(pend))) return;  // shed at the door
   // Idle-poll quantization: if the process was mid-round, detection costs up
   // to a partial scan of the chunk.
@@ -542,6 +541,11 @@ void HerdService::on_region_write(std::uint32_t s, std::uint64_t addr) {
 
 bool HerdService::try_admit(std::uint32_t s, Pending&& pend) {
   Proc& p = *procs_[s];
+  sim::Tick now = host_->ctx().engine().now();
+  // The one arrival site, for both request modes: the poll loop (or recv
+  // CQ) saw the request now, and its wire time ends here.
+  pend.detected = now;
+  host_->ctx().tracer()->stage(pend.request.trace_id, "net_in", now);
   if (!shed_enabled_) {
     // Overload off (or the drop-shedding canary disarmed it): the paper's
     // unprotected FIFO path, byte-for-byte.
@@ -552,7 +556,6 @@ bool HerdService::try_admit(std::uint32_t s, Pending&& pend) {
                              ? pend.request.tenant
                              : 0;
   std::size_t depth = p.arrivals.size() + p.tenant_queues.size();
-  sim::Tick now = host_->ctx().engine().now();
   overload::Admit a = p.gate.admit(tenant, depth, now);
   if (pend.request.trace_id != 0) {
     obs::Tracer* tr = host_->ctx().tracer();
@@ -653,12 +656,6 @@ void HerdService::on_recv_ready(std::uint32_t s) {
         continue;
       }
       pend.client = it->second;
-      pend.detected = host_->ctx().engine().now();
-      if (req->trace_id != 0) {
-        if (obs::TailProfiler* tp = host_->ctx().tail()) {
-          tp->stage(req->trace_id, "net_in", pend.detected);
-        }
-      }
       if (!try_admit(s, std::move(pend))) continue;  // shed at the door
       admitted = true;
     }
@@ -709,31 +706,19 @@ void HerdService::advance(std::uint32_t s) {
       // free the slot. The expiry check costs one header compare.
       ++p.stats.shed_deadline;
       if (next->request.trace_id != 0) {
-        if (obs::TailProfiler* tp = host_->ctx().tail()) {
-          tp->stage(next->request.trace_id, "drr_wait", now);
-        }
-        obs::Tracer* tr = host_->ctx().tracer();
-        if (obs::tracing(tr)) {
-          tr->instant(p.core->name(), "deadline_drop", now,
-                      "client=" + std::to_string(next->client),
-                      obs::TraceCtx{next->request.trace_id,
-                                    next->request.parent_span});
-        }
+        host_->ctx().tracer()->hop(
+            p.core->name(), "deadline_drop", now,
+            obs::TraceCtx{next->request.trace_id, next->request.parent_span},
+            "drr_wait", client_args(next->client));
       }
       rearm(s, *next);
       continue;
     }
     if (next->request.trace_id != 0) {
-      if (obs::TailProfiler* tp = host_->ctx().tail()) {
-        tp->stage(next->request.trace_id, "drr_wait", now);
-      }
-      obs::Tracer* tr = host_->ctx().tracer();
-      if (obs::tracing(tr) && now > next->detected) {
-        tr->span(p.core->name(), "drr_wait", next->detected, now,
-                 "client=" + std::to_string(next->client),
-                 obs::TraceCtx{next->request.trace_id,
-                               next->request.parent_span});
-      }
+      host_->ctx().tracer()->hop_span(
+          p.core->name(), "drr_wait", next->detected, now,
+          obs::TraceCtx{next->request.trace_id, next->request.parent_span},
+          "drr_wait", client_args(next->client));
     }
     p.pipeline.push_back(std::move(*next));
     cost += cpu_.prefetch_issue;  // stage 1: prefetch the index bucket
@@ -849,27 +834,18 @@ void HerdService::send_redirect(std::uint32_t s, std::uint32_t client,
 }
 
 void HerdService::complete(std::uint32_t s, const Pending& p) {
-  if (p.request.trace_id != 0) {
-    // The pipeline residency — from DRR dequeue to this quantum's end —
-    // is the request's MICA share of the breakdown.
-    if (obs::TailProfiler* tp = host_->ctx().tail()) {
-      tp->stage(p.request.trace_id, "mica_op", host_->ctx().engine().now());
-    }
-  }
   Proc& proc = *procs_[s];
   ++proc.stats.requests;
-  {
-    obs::Tracer* tr = host_->ctx().tracer();
-    if (obs::tracing(tr)) {
-      const char* kind = p.request.is_delete ? "delete"
-                         : p.request.is_put  ? "put"
-                                             : "get";
-      tr->instant(proc.core->name(), std::string("serve_") + kind,
-                  host_->ctx().engine().now(),
-                  "client=" + std::to_string(p.client),
-                  obs::TraceCtx{p.request.trace_id, p.request.parent_span});
-    }
-  }
+  // The pipeline residency — from DRR dequeue to this quantum's end — is
+  // the request's MICA share of the breakdown.
+  host_->ctx().tracer()->hop(
+      proc.core->name(),
+      p.request.is_delete ? "serve_delete"
+      : p.request.is_put  ? "serve_put"
+                          : "serve_get",
+      host_->ctx().engine().now(),
+      obs::TraceCtx{p.request.trace_id, p.request.parent_span}, "mica_op",
+      client_args(p.client));
 
   std::uint32_t shard = shard_map_.shard_of(p.request.key);
   const ShardInfo si = shard_map_.at(shard);
@@ -1115,18 +1091,12 @@ void HerdService::deliver_forward(const Fwd& f) {
         if (!prim.alive) return;
         ++prim.stats.repl_acks;
         if (trace_id != 0) {
-          sim::Tick now = host_->ctx().engine().now();
           // The whole forward round trip — primary send through backup
           // apply to this ack — is the request's replication share.
-          if (obs::TailProfiler* tp = host_->ctx().tail()) {
-            tp->stage(trace_id, "repl_fwd", now);
-          }
-          obs::Tracer* tr = host_->ctx().tracer();
-          if (obs::tracing(tr)) {
-            tr->span(prim.core->name(), "repl_ack", applied, now,
-                     "client=" + std::to_string(client),
-                     obs::TraceCtx{trace_id, parent});
-          }
+          host_->ctx().tracer()->hop_span(
+              prim.core->name(), "repl_ack", applied,
+              host_->ctx().engine().now(), obs::TraceCtx{trace_id, parent},
+              "repl_fwd", client_args(client));
         }
         post_response(from, client, status, {}, token, trace_id, parent);
       });
@@ -1189,19 +1159,15 @@ void HerdService::flush_responses(std::uint32_t s) {
   sim::Tick now = host_->ctx().engine().now();
   auto share =
       cpu_.post_send / static_cast<sim::Tick>(p.resp_chain.size());
-  obs::TailProfiler* tp = host_->ctx().tail();
-  obs::Tracer* tr = host_->ctx().tracer();
+  obs::Tracer& tr = *host_->ctx().tracer();
   for (const Proc::RespMeta& m : p.resp_chain_meta) {
     if (m.trace_id == 0) continue;
-    if (tp != nullptr) {
-      tp->stage(m.trace_id, "chain_hold", now);
-      tp->charge(m.trace_id, "doorbell", share);
-    }
-    if (obs::tracing(tr) && now > m.appended) {
-      tr->span(p.core->name(), "chain_hold", m.appended, now,
-               "chain_len=" + std::to_string(p.resp_chain.size()),
-               obs::TraceCtx{m.trace_id, m.parent_span});
-    }
+    tr.hop_span(p.core->name(), "chain_hold", m.appended, now,
+                obs::TraceCtx{m.trace_id, m.parent_span}, "chain_hold",
+                [n = p.resp_chain.size()] {
+                  return "chain_len=" + std::to_string(n);
+                });
+    tr.charge(m.trace_id, "doorbell", share);
   }
   p.resp_chain.clear();
   p.resp_chain_meta.clear();

@@ -350,9 +350,6 @@ HerdTestbed::HerdTestbed(const TestbedConfig& cfg) : cfg_(cfg) {
 
   if (cfg_.trace_sample_every > 0) {
     cluster_->tracer().enable(cfg_.trace_sample_every);
-    // The tail profiler rides the same sampling window: the client begins a
-    // profile for exactly the requests whose trace id goes on the wire.
-    cluster_->tail().enable();
   }
 }
 

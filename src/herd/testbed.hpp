@@ -269,8 +269,8 @@ class HerdTestbed {
   /// The cluster tracer (enabled when TestbedConfig::trace_sample_every is
   /// nonzero, or by hand via tracer().enable()).
   obs::Tracer& tracer() { return cluster_->tracer(); }
-  /// The cluster tail profiler (enabled alongside the tracer when
-  /// trace_sample_every is nonzero). Sampled requests' per-stage latency
+  /// The cluster tail profiler (the tracer's: it profiles exactly the
+  /// requests the tracer samples). Sampled requests' per-stage latency
   /// breakdowns accumulate here; quantile("ok", 0.99) is the p99 cut the
   /// bench reports publish.
   obs::TailProfiler& tail() { return cluster_->tail(); }

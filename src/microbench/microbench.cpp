@@ -23,10 +23,10 @@ double Microbench::run(const cluster::ClusterConfig& cfg) {
   record_.attr = {};
   record_.timeseries = {};
   record_.tail = {};
+  record_.tail_ids.clear();
   record_.trace_json.clear();
   g_next_pump = 0;  // identical runs hand out identical trace-id salts
   tail_.clear();
-  tail_.enable();
   record_.value = execute(cfg);
   g_last = record_;
   return record_.value;
@@ -67,6 +67,10 @@ void Microbench::finish(cluster::Cluster& cl) {
   record_.snapshot = cl.snapshot();
   if (tail_.count("ok") > 0) {
     record_.tail = obs::tail_json(tail_.quantile("ok", 0.99));
+  }
+  record_.tail_ids.clear();
+  for (const obs::TailProfiler::Sample& s : tail_.samples()) {
+    record_.tail_ids.push_back(s.trace_id);
   }
   tail_.clear();
   if (g_trace_capture && cl.tracer().enabled()) {

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "cluster/cluster.hpp"
 #include "obs/flight.hpp"
@@ -37,6 +38,9 @@ struct RunRecord {
   /// Per-op p99 stage breakdown (obs::tail_json shape) of the sampled ops
   /// that completed "ok"; Null when the driver sampled nothing.
   obs::Json tail;
+  /// Trace ids of the sampled ops `tail` was cut from, in finish order —
+  /// a read-only view for checking that each sampled op finished once.
+  std::vector<std::uint64_t> tail_ids;
   /// Chrome-trace export ("herd-trace/2") of the measurement window when
   /// trace capture was requested (set_trace_capture); empty otherwise.
   /// Multi-cluster drivers keep the last cluster's trace, same convention
@@ -91,9 +95,9 @@ class Microbench {
   /// cluster's breakdown — same convention as the snapshot.
   void finish(cluster::Cluster& cl);
 
-  /// Per-op tail profiler the driver's pumps mark stages into. Enabled for
-  /// every run: sampling cadence is the driver's choice (every Nth op), and
-  /// the overhead is simulator-side only.
+  /// Per-op tail profiler the driver's pumps mark stages into, keyed by
+  /// each sampled op's trace id. Sampling cadence is the driver's choice
+  /// (every Nth op), and the overhead is simulator-side only.
   obs::TailProfiler& tail() { return tail_; }
 
  private:

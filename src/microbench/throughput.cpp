@@ -23,9 +23,9 @@ namespace {
 /// QP post as ONE WR chain — one doorbell and one (cheaper) chained
 /// post_send charge on the issuing core instead of a full post per verb.
 ///
-/// Every kTailSampleEvery-th *signaled* verb is tail-profiled: its wr_id
-/// carries the sequence number so the completion can be matched, and the
-/// profiler records issue -> doorbell ("post_cpu") and doorbell ->
+/// Every kTailSampleEvery-th *signaled* verb is tail-profiled under its
+/// trace id, which its wr_id also carries so the completion can be matched;
+/// the profiler records issue -> doorbell ("post_cpu") and doorbell ->
 /// completion ("net_rtt") — the two-stage breakdown behind the microbench
 /// figures' per-point "tail" field.
 class WindowPump {
@@ -64,12 +64,13 @@ class WindowPump {
       batch.push_back(make_(signaled));
       if (tail_ != nullptr && signaled &&
           (seq_ / spec_.signal_every) % kTailSampleEvery == 0) {
-        batch.back().second.wr_id = seq_;
         // One trace id per sampled verb (ordinal salt keeps concurrent
-        // pumps apart); the RNIC pipeline spans on both hosts carry it.
-        batch.back().second.trace_id =
-            (std::uint64_t{ordinal_} << 32) | seq_;
-        tail_->begin(seq_, eng_->now());
+        // pumps apart): it keys the tail sample, and the RNIC pipeline
+        // spans on both hosts carry it.
+        std::uint64_t id = (std::uint64_t{ordinal_} << 32) | seq_;
+        batch.back().second.wr_id = id;
+        batch.back().second.trace_id = id;
+        tail_->begin(id, eng_->now());
       }
     }
     std::size_t i = 0;

@@ -1,6 +1,7 @@
 #include "obs/tail.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 namespace herd::obs {
 
@@ -11,21 +12,9 @@ TailProfiler::Live* TailProfiler::find(std::uint64_t trace_id) {
   return nullptr;
 }
 
-const TailProfiler::Live* TailProfiler::find(std::uint64_t trace_id) const {
-  for (const Live& l : live_) {
-    if (l.trace_id == trace_id) return &l;
-  }
-  return nullptr;
-}
-
 void TailProfiler::begin(std::uint64_t trace_id, sim::Tick now) {
-  if (!enabled_ || trace_id == 0) return;
-  if (Live* l = find(trace_id)) {
-    l->begin = now;
-    l->mark = now;
-    l->stages.clear();
-    return;
-  }
+  if (trace_id == 0) return;
+  assert(find(trace_id) == nullptr && "one live sample per trace id");
   live_.push_back(Live{trace_id, now, now, {}});
 }
 
@@ -65,20 +54,7 @@ void TailProfiler::finish(std::uint64_t trace_id, std::string_view outcome,
   s.total = now > l->begin ? now - l->begin : 0;
   s.stages = std::move(l->stages);
   done_.push_back(std::move(s));
-  drop(trace_id);
-}
-
-void TailProfiler::drop(std::uint64_t trace_id) {
-  for (std::size_t i = 0; i < live_.size(); ++i) {
-    if (live_[i].trace_id == trace_id) {
-      live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(i));
-      return;
-    }
-  }
-}
-
-bool TailProfiler::tracking(std::uint64_t trace_id) const {
-  return find(trace_id) != nullptr;
+  live_.erase(live_.begin() + (l - live_.data()));
 }
 
 TailProfiler::QuantileCut TailProfiler::quantile(std::string_view outcome,
@@ -121,16 +97,6 @@ TailProfiler::QuantileCut TailProfiler::quantile(std::string_view outcome,
   }
   for (const auto& [n, us] : cut.stages_us) cut.stage_sum_us += us;
   return cut;
-}
-
-std::vector<std::string> TailProfiler::outcomes() const {
-  std::vector<std::string> out;
-  for (const Sample& s : done_) {
-    if (std::find(out.begin(), out.end(), s.outcome) == out.end()) {
-      out.push_back(s.outcome);
-    }
-  }
-  return out;
 }
 
 std::size_t TailProfiler::count(std::string_view outcome) const {

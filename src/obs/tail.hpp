@@ -13,7 +13,9 @@
 // admission/DRR/MICA/replication/chain flush) mark the same sample; sim
 // time is global, so cross-host telescoping is exact. The chain-flush
 // amortizer uses charge() to bill each coalesced response its share of the
-// doorbell post cost without breaking the telescope.
+// doorbell post cost without breaking the telescope. HERD's producers never
+// call the profiler directly: each hop is one obs::Tracer call, and the
+// tracer owns the profiler those calls feed (Tracer::tail()).
 #pragma once
 
 #include <cstdint>
@@ -47,11 +49,8 @@ class TailProfiler {
     std::vector<std::pair<std::string, double>> stages_us;
   };
 
-  void enable() { enabled_ = true; }
-  void disable() { enabled_ = false; }
-  bool enabled() const { return enabled_; }
-
-  /// Starts tracking a sampled request. Re-beginning an id restarts it.
+  /// Starts tracking a sampled request (0 = unsampled, ignored). An id
+  /// names one request: it must not be live already.
   void begin(std::uint64_t trace_id, sim::Tick now);
 
   /// Charges [mark, now) to `stage` and advances the mark. Unknown ids are
@@ -71,10 +70,6 @@ class TailProfiler {
   void finish(std::uint64_t trace_id, std::string_view outcome,
               sim::Tick now, std::string_view residual_stage = "net_out");
 
-  /// Forgets an in-flight id without recording (stale duplicate, reset).
-  void drop(std::uint64_t trace_id);
-
-  bool tracking(std::uint64_t trace_id) const;
   std::size_t finished() const { return done_.size(); }
   std::size_t in_flight() const { return live_.size(); }
   const std::vector<Sample>& samples() const { return done_; }
@@ -84,8 +79,6 @@ class TailProfiler {
   /// if no sample finished with that outcome.
   QuantileCut quantile(std::string_view outcome, double q) const;
 
-  /// All outcomes seen, in first-finish order (deterministic).
-  std::vector<std::string> outcomes() const;
   std::size_t count(std::string_view outcome) const;
 
   void clear() {
@@ -102,9 +95,7 @@ class TailProfiler {
   };
 
   Live* find(std::uint64_t trace_id);
-  const Live* find(std::uint64_t trace_id) const;
 
-  bool enabled_ = false;
   std::vector<Live> live_;
   std::vector<Sample> done_;
 };

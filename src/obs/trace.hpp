@@ -21,6 +21,13 @@
 // request via sample()/release(); producers record only while a window is
 // open. With tracing disabled, the producer-side gate
 // `tracing(tracer_ptr)` costs one predictable branch on the hot path.
+//
+// Request hops: the tracer also owns the per-request TailProfiler. A HERD
+// request's path (client post, retries and re-sends, server arrival, DRR,
+// MICA, replication, chain flush) is instrumented with one hop call per
+// hop — request_begin/request_end, hop/hop_span, stage/charge — which
+// records the event while a window is open and charges the request's tail
+// stage whenever its trace id is nonzero.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +35,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/tail.hpp"
 #include "sim/time.hpp"
 
 namespace herd::obs {
@@ -44,6 +52,13 @@ struct TraceCtx {
 using SpanId = std::uint32_t;
 
 inline constexpr std::string_view kTraceSchema = "herd-trace/2";
+
+/// Detail of a hop event that has none. Hop calls take the detail as a
+/// callable, invoked only when the event is recorded, so an untraced hop
+/// builds no strings.
+struct NoArgs {
+  std::string_view operator()() const { return {}; }
+};
 
 class Tracer {
  public:
@@ -131,6 +146,86 @@ class Tracer {
   /// Count of span_begin calls not yet span_end'ed (should be 0 at export).
   std::size_t open_spans() const { return open_.size(); }
 
+  // -------------------------------------------------------- request hops
+  //
+  // Each call feeds two sinks under independent conditions: the event is
+  // recorded while a sampling window is open (any request's window, so an
+  // unsampled request's hop inside it records with trace id 0), and the
+  // tail stage is charged whenever ctx.trace_id is nonzero (a hop of a
+  // request the profiler is not tracking — a late duplicate of a retired
+  // one — charges nothing). Callers that want an event only for sampled
+  // requests test ctx.sampled() first.
+
+  /// Offers a new request to the sampler. On a hit, opens a sampling
+  /// window, the root span "request" at `start`, and the tail sample for
+  /// `trace_id`, and returns {trace_id, root span}; every later hop of the
+  /// request nests under it. On a miss returns an unsampled context.
+  /// request_end() closes all three.
+  template <typename Args>
+  TraceCtx request_begin(std::string_view track, sim::Tick start,
+                         std::uint64_t trace_id, Args&& args) {
+    if (!sample()) return {};
+    tail_.begin(trace_id, start);
+    return TraceCtx{trace_id, span_begin(track, "request", start, args(),
+                                         TraceCtx{trace_id, 0})};
+  }
+
+  /// Retires the sampled request `ctx` (from request_begin) at `at`:
+  /// records the terminal instant `event` ("" = none), closes the root
+  /// span (replacing its detail when `args` gives one), finishes the tail
+  /// sample under `outcome` with the residue since the last hop charged to
+  /// `residual_stage`, and releases the request's window. No-op when ctx
+  /// is unsampled.
+  template <typename Args = NoArgs>
+  void request_end(std::string_view track, std::string_view event,
+                   sim::Tick at, TraceCtx ctx, std::string_view outcome,
+                   std::string_view residual_stage, Args&& args = {}) {
+    if (!ctx.sampled()) return;
+    if (active()) {
+      if (!event.empty()) instant(track, event, at, {}, ctx);
+      span_end(ctx.parent, at, args());
+    }
+    tail_.finish(ctx.trace_id, outcome, at, residual_stage);
+    release();
+  }
+
+  /// A hop marked by an instant: records `event` at `at` and charges
+  /// [mark, at) to `stage`.
+  template <typename Args = NoArgs>
+  void hop(std::string_view track, std::string_view event, sim::Tick at,
+           TraceCtx ctx, std::string_view stage, Args&& args = {}) {
+    if (ctx.sampled()) tail_.stage(ctx.trace_id, stage, at);
+    if (active()) instant(track, event, at, args(), ctx);
+  }
+
+  /// A hop that took time: records the span [from, at) — unless it is
+  /// empty: a wait that did not happen is no event — and charges
+  /// [mark, at) to `stage`.
+  template <typename Args = NoArgs>
+  void hop_span(std::string_view track, std::string_view event,
+                sim::Tick from, sim::Tick at, TraceCtx ctx,
+                std::string_view stage, Args&& args = {}) {
+    if (ctx.sampled()) tail_.stage(ctx.trace_id, stage, at);
+    if (active() && at > from) span(track, event, from, at, args(), ctx);
+  }
+
+  /// A hop with no event of its own: charges [mark, at) to stage `name`.
+  void stage(std::uint64_t trace_id, std::string_view name, sim::Tick at) {
+    if (trace_id != 0) tail_.stage(trace_id, name, at);
+  }
+
+  /// Bills `amount` ticks to `stage` (TailProfiler::charge: an amortized
+  /// share, such as one response's part of a chain's doorbell).
+  void charge(std::uint64_t trace_id, std::string_view stage,
+              sim::Tick amount) {
+    if (trace_id != 0) tail_.charge(trace_id, stage, amount);
+  }
+
+  /// The per-request tail profiler the hop calls feed. clear() leaves it
+  /// alone; readers clear it themselves.
+  TailProfiler& tail() { return tail_; }
+  const TailProfiler& tail() const { return tail_; }
+
   const std::vector<Event>& events() const { return events_; }
   std::size_t size() const { return events_.size(); }
   void clear() {
@@ -161,6 +256,7 @@ class Tracer {
   std::uint32_t next_span_ = 0;
   std::vector<Event> events_;
   std::vector<OpenSpan> open_;
+  TailProfiler tail_;
 };
 
 /// The producer-side gate: record only when a tracer is attached and a

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "fabric/fabric.hpp"
-#include "obs/tail.hpp"
 #include "obs/trace.hpp"
 #include "pcie/pcie.hpp"
 #include "rnic/rnic.hpp"
@@ -235,12 +234,6 @@ class Context {
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
   obs::Tracer* tracer() { return tracer_; }
 
-  /// Installs (or clears) the cluster-wide per-request tail profiler.
-  /// The verbs layer itself never marks stages — this is the conduit the
-  /// HERD client/service use to reach the profiler their Cluster owns.
-  void set_tail(obs::TailProfiler* tail) { tail_ = tail; }
-  obs::TailProfiler* tail() { return tail_; }
-
   /// WR-chain length per post_send across every QP on this context (the
   /// value recorded is a count, not a latency). A mean near 1 in a hot path
   /// means the doorbell-batching API is being paid for and not used.
@@ -261,7 +254,6 @@ class Context {
   HostMemory* memory_;
   bool doorbell_per_wr_;
   obs::Tracer* tracer_ = nullptr;
-  obs::TailProfiler* tail_ = nullptr;
   sim::LatencyHistogram chain_len_;
   std::unique_ptr<ContractChecker> contract_;
   std::unordered_map<std::uint32_t, Qp*> qps_;

@@ -437,6 +437,46 @@ TEST(SpanPairing, MemberEscapeClosedInAnotherFunctionIsClean) {
   EXPECT_TRUE(rule_violations(engine, "span-pairing").empty());
 }
 
+TEST(SpanPairing, RequestRootSpanPairsBeginWithEnd) {
+  // A request's root span opens with request_begin and closes with
+  // request_end, which may run in another method (the terminal state).
+  Engine engine;
+  engine.add_file("src/herd/cl.hpp",
+                  "void issue(T& tr, F& fl, long now) {\n"
+                  "  auto trace = tr.request_begin(\"c\", now, 7, a);\n"
+                  "  fl.trace = trace;\n"
+                  "}\n"
+                  "void retire(T& tr, F& fl, long now) {\n"
+                  "  tr.request_end(\"c\", \"\", now, fl.trace, \"ok\", r);\n"
+                  "}\n");
+  engine.run();
+  EXPECT_TRUE(rule_violations(engine, "span-pairing").empty());
+}
+
+TEST(SpanPairing, RequestRootSpanLeaksCaught) {
+  Engine engine;
+  engine.add_file("src/herd/cl.hpp",
+                  "unsigned f(T& tr, bool e, long now) {\n"
+                  "  auto root = tr.request_begin(\"c\", now, 7, a);\n"
+                  "  if (e) return 0;\n"
+                  "  tr.request_end(\"c\", \"\", now, root, \"ok\", r);\n"
+                  "  return 1;\n"
+                  "}\n"
+                  "void g(T& tr, F& fl, long now) {\n"
+                  "  auto trace = tr.request_begin(\"c\", now, 7, a);\n"
+                  "  fl.sampled = trace;\n"
+                  "}\n");
+  engine.run();
+  std::vector<Violation> v = rule_violations(engine, "span-pairing");
+  ASSERT_EQ(v.size(), 2u);
+  EXPECT_EQ(v[0].line, 3u);
+  EXPECT_NE(v[0].detail.find("before request_end closes 'root'"),
+            std::string::npos);
+  EXPECT_EQ(v[1].line, 8u);
+  EXPECT_NE(v[1].detail.find("ever passes it to request_end"),
+            std::string::npos);
+}
+
 TEST(SpanPairing, MemberEscapeNeverClosedCaught) {
   Engine engine;
   engine.add_file("src/herd/cl.hpp",

@@ -2,7 +2,11 @@
 // these double as regression tests for the calibrated substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <vector>
 
 #include "microbench/echo.hpp"
 #include "microbench/microbench.hpp"
@@ -59,6 +63,30 @@ TEST(InboundTput, UcAndRcWritesNearlyIdentical) {
   double u = inbound_tput(kApt, uc);
   double r = inbound_tput(kApt, rc);
   EXPECT_NEAR(u, r, u * 0.1);
+}
+
+TEST(InboundTput, EverySampledVerbFinishesExactlyOneTailSample) {
+  // Concurrent pumps sample verbs at the same per-pump sequence numbers.
+  // Keyed by the salted trace id — (pump ordinal << 32) | seq — each
+  // sampled verb is its own sample: per pump, the finished ids are the
+  // sampling cadence's multiples 1x, 2x, ..., kx with no gap (a sample lost
+  // to a restart) and no repeat (one verb finished twice).
+  TputSpec wr;
+  wr.opcode = verbs::Opcode::kWrite;
+  constexpr std::uint32_t kClients = 4;
+  inbound_tput(kApt, wr, kClients, sim::us(250));
+  const std::vector<std::uint64_t>& ids = last_run().tail_ids;
+  ASSERT_FALSE(ids.empty());
+  std::map<std::uint64_t, std::vector<std::uint64_t>> seqs;  // by pump
+  for (std::uint64_t id : ids) seqs[id >> 32].push_back(id & 0xffffffffu);
+  ASSERT_EQ(seqs.size(), kClients);
+  for (auto& [pump, s] : seqs) {
+    std::sort(s.begin(), s.end());
+    ASSERT_GT(s.size(), 1u) << "pump " << pump;
+    for (std::size_t k = 0; k < s.size(); ++k) {
+      EXPECT_EQ(s[k], (k + 1) * s[0]) << "pump " << pump << " sample " << k;
+    }
+  }
 }
 
 TEST(OutboundTput, ReadsHoldTwentyTwoMops) {

@@ -237,7 +237,6 @@ TEST(TraceValidator, RejectsSchemaDrift) {
 
 TEST(TailProfiler, StagesTelescopeExactlyToTotal) {
   TailProfiler tp;
-  tp.enable();
   tp.begin(7, sim::us(10));
   tp.stage(7, "client_post", sim::us(11));
   tp.stage(7, "net_in", sim::us(14));
@@ -255,7 +254,6 @@ TEST(TailProfiler, ChargeAmortizesWithoutBreakingTheTelescope) {
   // charge() bills a fixed share (the chain-amortization hook) and advances
   // the mark by the same amount, so the residual stage picks up the rest.
   TailProfiler tp;
-  tp.enable();
   tp.begin(9, 0);
   tp.charge(9, "doorbell", sim::us(2));
   tp.finish(9, "ok", sim::us(10), "net_rtt");
@@ -270,7 +268,6 @@ TEST(TailProfiler, ChargeAmortizesWithoutBreakingTheTelescope) {
 
 TEST(TailProfiler, QuantileCutMergesRepeatedStages) {
   TailProfiler tp;
-  tp.enable();
   // One slow request with a stage name charged twice (retry loop shape).
   tp.begin(1, 0);
   tp.stage(1, "backoff_hold", sim::us(3));
@@ -297,7 +294,6 @@ TEST(TailProfiler, QuantileCutMergesRepeatedStages) {
 
 TEST(TailProfiler, TailJsonRoundTripsThroughBenchValidator) {
   TailProfiler tp;
-  tp.enable();
   tp.begin(5, 0);
   tp.stage(5, "client_post", sim::us(1));
   tp.finish(5, "ok", sim::us(6), "net_out");
@@ -311,6 +307,140 @@ TEST(TailProfiler, TailJsonRoundTripsThroughBenchValidator) {
   EXPECT_TRUE(validate_bench_json(rep.to_json()).empty());
 
   EXPECT_TRUE(tail_json(TailProfiler::QuantileCut{}).is_null());
+}
+
+// ------------------------------------------------ request hops (one call)
+
+// Counts how often a hop built its event detail.
+struct CountingArgs {
+  int* built;
+  std::string operator()() const {
+    ++*built;
+    return "seq=1";
+  }
+};
+
+TEST(TracerHop, UnsampledHopOutsideAWindowTouchesNeitherSink) {
+  Tracer t;
+  int built = 0;
+  t.hop("client", "retry", sim::us(1), TraceCtx{}, "retry_wait",
+        CountingArgs{&built});
+  t.hop_span("client", "client_post", 0, sim::us(1), TraceCtx{},
+             "client_post", CountingArgs{&built});
+  t.stage(0, "net_in", sim::us(2));
+  t.charge(0, "doorbell", sim::us(1));
+  t.request_end("client", "deadline_exceeded", sim::us(3), TraceCtx{},
+                "deadline", "deadline_wait", CountingArgs{&built});
+  EXPECT_EQ(t.size(), 0u);
+  EXPECT_EQ(built, 0);  // the untraced path builds no strings
+  EXPECT_EQ(t.tail().in_flight(), 0u);
+  EXPECT_EQ(t.tail().finished(), 0u);
+  // A sampler that is off never opens a request.
+  EXPECT_FALSE(t.request_begin("client", 0, 7, CountingArgs{&built}).sampled());
+  EXPECT_EQ(t.tail().in_flight(), 0u);
+  EXPECT_EQ(built, 0);
+}
+
+TEST(TracerHop, SampledHopWithNoWindowChargesTheStageOnly) {
+  Tracer t;
+  t.tail().begin(7, 0);  // a live sample whose window is not open
+  int built = 0;
+  t.hop("client", "retry", sim::us(3), TraceCtx{7, 0}, "retry_wait",
+        CountingArgs{&built});
+  t.hop_span("proc0", "drr_wait", sim::us(3), sim::us(4), TraceCtx{7, 0},
+             "drr_wait", CountingArgs{&built});
+  t.stage(7, "net_in", sim::us(5));
+  t.charge(7, "doorbell", sim::us(1));
+  EXPECT_EQ(t.size(), 0u);
+  EXPECT_EQ(built, 0);
+  t.tail().finish(7, "ok", sim::us(10), "net_out");
+  ASSERT_EQ(t.tail().finished(), 1u);
+  const TailProfiler::Sample& s = t.tail().samples()[0];
+  ASSERT_EQ(s.stages.size(), 5u);
+  EXPECT_EQ(s.stages[0], std::make_pair(std::string("retry_wait"), sim::us(3)));
+  EXPECT_EQ(s.stages[1], std::make_pair(std::string("drr_wait"), sim::us(1)));
+  EXPECT_EQ(s.stages[2], std::make_pair(std::string("net_in"), sim::us(1)));
+  EXPECT_EQ(s.stages[3], std::make_pair(std::string("doorbell"), sim::us(1)));
+  EXPECT_EQ(s.stages[4], std::make_pair(std::string("net_out"), sim::us(4)));
+}
+
+TEST(TracerHop, SampledHopInAWindowRecordsAndChargesExactlyOnce) {
+  Tracer t;
+  t.enable(1);
+  int built = 0;
+  TraceCtx ctx = t.request_begin("client", 0, 7, CountingArgs{&built});
+  ASSERT_TRUE(ctx.sampled());
+  EXPECT_NE(ctx.parent, 0u);  // the root span
+  EXPECT_TRUE(t.active());
+  EXPECT_EQ(t.open_spans(), 1u);
+  EXPECT_EQ(built, 1);
+
+  t.hop("client", "retry", sim::us(3), ctx, "retry_wait",
+        CountingArgs{&built});
+  EXPECT_EQ(built, 2);
+  // An unsampled hop inside the window records (trace id 0) but charges
+  // nothing; an empty span is no event.
+  t.hop_span("client", "client_post", sim::us(3), sim::us(4), TraceCtx{},
+             "client_post");
+  t.hop_span("proc0", "drr_wait", sim::us(4), sim::us(4), ctx, "drr_wait");
+  t.request_end("client", {}, sim::us(6), ctx, "ok", "net_out",
+                CountingArgs{&built});
+  EXPECT_EQ(built, 3);
+  EXPECT_FALSE(t.active());  // the request's window closed with it
+  EXPECT_EQ(t.open_spans(), 0u);
+
+  int retries = 0, posts = 0, waits = 0, roots = 0;
+  for (const Tracer::Event& e : t.events()) {
+    if (e.name == "retry") {
+      ++retries;
+      EXPECT_TRUE(e.instant);
+      EXPECT_EQ(e.trace_id, 7u);
+      EXPECT_EQ(e.parent, ctx.parent);
+      EXPECT_EQ(e.args, "seq=1");
+    }
+    if (e.name == "client_post") {
+      ++posts;
+      EXPECT_EQ(e.trace_id, 0u);
+    }
+    if (e.name == "drr_wait") ++waits;
+    if (e.name == "request") {
+      ++roots;
+      EXPECT_EQ(e.start, 0u);
+      EXPECT_EQ(e.end, sim::us(6));
+    }
+  }
+  EXPECT_EQ(retries, 1);
+  EXPECT_EQ(posts, 1);
+  EXPECT_EQ(waits, 0);
+  EXPECT_EQ(roots, 1);
+
+  ASSERT_EQ(t.tail().finished(), 1u);
+  const TailProfiler::Sample& s = t.tail().samples()[0];
+  EXPECT_EQ(s.outcome, "ok");
+  EXPECT_EQ(s.total, sim::us(6));
+  ASSERT_EQ(s.stages.size(), 3u);
+  EXPECT_EQ(s.stages[0], std::make_pair(std::string("retry_wait"), sim::us(3)));
+  EXPECT_EQ(s.stages[1], std::make_pair(std::string("drr_wait"), sim::us(1)));
+  EXPECT_EQ(s.stages[2], std::make_pair(std::string("net_out"), sim::us(2)));
+}
+
+TEST(TracerHop, DeadlineEndRecordsItsInstantAndResidualStage) {
+  Tracer t;
+  t.enable(1);
+  TraceCtx ctx = t.request_begin("client", 0, 9, NoArgs{});
+  t.hop("client", "retry", sim::us(2), ctx, "retry_wait");
+  t.request_end("client", "deadline_exceeded", sim::us(5), ctx, "deadline",
+                "deadline_wait");
+  ASSERT_EQ(t.size(), 3u);  // root span, retry, deadline_exceeded
+  EXPECT_EQ(t.events()[2].name, "deadline_exceeded");
+  EXPECT_TRUE(t.events()[2].instant);
+  EXPECT_EQ(t.events()[2].parent, ctx.parent);
+  EXPECT_EQ(t.open_spans(), 0u);
+  ASSERT_EQ(t.tail().count("deadline"), 1u);
+  const TailProfiler::Sample& s = t.tail().samples()[0];
+  ASSERT_EQ(s.stages.size(), 2u);
+  EXPECT_EQ(s.stages[1],
+            std::make_pair(std::string("deadline_wait"), sim::us(3)));
 }
 
 TEST(BenchReport, ValidatorRejectsMalformedTail) {
@@ -482,6 +612,110 @@ TEST(TraceE2E, TailStagesSumExactlyToEndToEndLatency) {
     if (name == "mica_op" || name == "net_in") server_side = true;
   }
   EXPECT_TRUE(server_side);
+}
+
+// The request-path stage vocabulary EXPERIMENTS.md documents. Each tracer
+// hop call charges one of these; a refactor that drops a hop's charge (or
+// renames its stage) shows up here as a stage no testbed produces any more.
+TEST(TraceE2E, EveryDocumentedStageIsProducedAndTelescopes) {
+  std::set<std::string> stages;
+  std::set<std::string> outcomes;
+  auto collect = [&](core::HerdTestbed& bed, const char* what) {
+    for (const TailProfiler::Sample& s : bed.tail().samples()) {
+      sim::Tick sum = 0;
+      for (const auto& [name, ticks] : s.stages) {
+        sum += ticks;
+        stages.insert(name);
+      }
+      EXPECT_EQ(sum, s.total) << what << ": sample 0x" << std::hex
+                              << s.trace_id;
+      outcomes.insert(s.outcome);
+    }
+  };
+  // Every request is sampled (one in flight per client at window 1), so
+  // each rare path below lands in the profile.
+  auto replicated = [] {
+    core::TestbedConfig cfg = wire_traced_config();
+    cfg.trace_sample_every = 1;
+    cfg.herd.n_server_procs = 2;
+    cfg.herd.n_clients = 4;
+    cfg.herd.window = 1;
+    cfg.herd.replicate = true;
+    cfg.workload.n_keys = 512;
+    cfg.workload.get_fraction = 0.5;
+    cfg.resilience.retry_timeout = sim::us(30);
+    cfg.resilience.backoff_multiplier = 2.0;
+    cfg.resilience.backoff_max = sim::us(120);
+    cfg.resilience.jitter = 0.2;
+    cfg.resilience.deadline = sim::ms(1);
+    cfg.resilience.failover_threshold = 3;
+    cfg.resilience.probe_interval = sim::ms(1);
+    cfg.seed = 7;
+    return cfg;
+  };
+  {
+    // Primary crash with failover: retry_wait, failover_wait, and the
+    // replicated write path (repl_fwd, chain_hold, doorbell).
+    core::TestbedConfig cfg = replicated();
+    cfg.fault_plan.proc_crash.push_back(fault::ProcCrashFault{0, sim::us(300), 0});
+    core::HerdTestbed bed(cfg);
+    auto r = bed.run(sim::us(200), sim::us(800));
+    ASSERT_GT(r.failovers, 0u);
+    collect(bed, "crash-failover");
+  }
+  {
+    // Live migration: clients holding the old shard map are redirected.
+    core::TestbedConfig cfg = replicated();
+    cfg.herd.n_server_procs = 3;
+    cfg.herd.migration_stream_time = sim::us(200);
+    core::HerdTestbed bed(cfg);
+    bed.run(sim::us(200), sim::us(200));
+    ASSERT_TRUE(bed.service().migrate_shard(0, 2));
+    auto r = bed.run(0, sim::us(800));
+    ASSERT_GT(r.stale_epoch_retries, 0u);
+    collect(bed, "migration");
+  }
+  {
+    // Primary crash with no failover: requests to the dead process retry
+    // until their deadline retires them.
+    core::TestbedConfig cfg = replicated();
+    cfg.resilience.failover_threshold = 0;
+    cfg.resilience.deadline = sim::us(200);
+    cfg.fault_plan.proc_crash.push_back(fault::ProcCrashFault{0, sim::us(300), 0});
+    core::HerdTestbed bed(cfg);
+    auto r = bed.run(sim::us(200), sim::us(800));
+    ASSERT_GT(r.deadline_exceeded, 0u);
+    collect(bed, "crash-deadline");
+  }
+  {
+    // Overload: a tight admission quota sheds, clients back off.
+    core::TestbedConfig cfg = wire_traced_config();
+    cfg.trace_sample_every = 1;
+    cfg.herd.n_server_procs = 1;
+    cfg.herd.n_clients = 4;
+    cfg.herd.window = 1;
+    cfg.herd.overload.enable = true;
+    cfg.herd.overload.n_tenants = 2;
+    cfg.herd.overload.ticks_per_token = sim::us(2);
+    cfg.herd.overload.burst = 2;
+    cfg.herd.overload.queue_high = 16;
+    cfg.herd.overload.queue_low = 4;
+    cfg.resilience.retry_timeout = sim::us(200);
+    cfg.resilience.backoff_multiplier = 2.0;
+    cfg.resilience.backoff_max = sim::us(400);
+    cfg.resilience.jitter = 0.2;
+    core::HerdTestbed bed(cfg);
+    bed.run(sim::us(200), sim::us(800));
+    collect(bed, "overload");
+  }
+  for (const char* stage :
+       {"client_post", "net_out", "retry_wait", "redirect_rtt",
+        "failover_wait", "backoff_hold", "deadline_wait", "net_in",
+        "drr_wait", "mica_op", "repl_fwd", "chain_hold", "doorbell"}) {
+    EXPECT_EQ(stages.count(stage), 1u) << "no sample charged " << stage;
+  }
+  EXPECT_EQ(outcomes.count("ok"), 1u);
+  EXPECT_EQ(outcomes.count("deadline"), 1u);
 }
 
 // ------------------------------------------------------------ bench schema
