@@ -68,12 +68,11 @@ struct Deployment {
   std::vector<std::unique_ptr<verbs::Qp>> server_qps;  // per client
   sim::Pcg32 jitter{99, 7};
 
-  /// Tail sampling: client 0's every-16th echo is profiled issue ->
-  /// doorbell ("client_post") -> response arrival ("echo_rtt"). Responses
-  /// aren't tagged, but a single client's echoes complete in issue order in
-  /// the simulator, so a FIFO of (issue index, profiler id) matches them.
-  static constexpr std::uint64_t kTailSampleEvery = 16;
-  obs::TailProfiler* tail = nullptr;
+  /// Tail sampling: client 0's every kTailSampleEvery-th echo is profiled,
+  /// into the cluster's profiler, issue -> doorbell ("client_post") ->
+  /// response arrival ("echo_rtt"). Responses aren't tagged, but a single
+  /// client's echoes complete in issue order in the simulator, so a FIFO of
+  /// (issue index, profiler id) matches them.
   std::deque<std::pair<std::uint64_t, std::uint64_t>> tail_fifo;
 
   std::uint64_t req_base(std::uint32_t c, std::uint32_t w) const {
@@ -150,14 +149,14 @@ void Deployment::client_issue(Client& cc) {
   std::uint64_t idx = cc.slot;  // issue index of this echo
   std::uint32_t w = cc.slot++ % opts.window;
   std::uint64_t tail_id = 0;
-  if (tail != nullptr && cc.id == 0 && idx % kTailSampleEvery == 0) {
+  if (cc.id == 0 && idx % kTailSampleEvery == 0) {
     tail_id = idx + 1;  // profiler key; 0 means "unsampled"
-    tail->begin(tail_id, cl->engine().now());
+    cl->tail().begin(tail_id, cl->engine().now());
     tail_fifo.emplace_back(idx, tail_id);
   }
   cc.core->run(cost, [this, &cc, w, recv_response, tail_id]() {
     if (tail_id != 0) {
-      tail->stage(tail_id, "client_post", cl->engine().now());
+      cl->tail().stage(tail_id, "client_post", cl->engine().now());
     }
     if (recv_response) {
       std::uint64_t rbuf = cc.arena + 8192 + w * kSlot;
@@ -183,10 +182,10 @@ void Deployment::client_issue(Client& cc) {
 
 void Deployment::client_done(Client& cc) {
   ++cc.completed;
-  if (cc.id == 0 && tail != nullptr) {
+  if (cc.id == 0) {
     sim::Tick now = cl->engine().now();
     while (!tail_fifo.empty() && tail_fifo.front().first < cc.completed) {
-      tail->finish(tail_fifo.front().second, "ok", now, "echo_rtt");
+      cl->tail().finish(tail_fifo.front().second, "ok", now, "echo_rtt");
       tail_fifo.pop_front();
     }
   }
@@ -288,10 +287,6 @@ void Deployment::build(const cluster::ClusterConfig& cfg) {
   // Request arrival hooks at the server.
   if (kind == EchoKind::kSendSend) {
     // Pre-post RECVs per client channel; recv CQs are per proc.
-    std::uint64_t rbase =
-        (std::uint64_t{opts.n_clients} * opts.window +
-         std::uint64_t{opts.n_server_procs} * 64) *
-        kSlot;
     for (std::uint32_t c = 0; c < opts.n_clients; ++c) {
       for (std::uint32_t w = 0; w < opts.window; ++w) {
         // Reuse request-slot addresses as recv buffers.
@@ -301,7 +296,6 @@ void Deployment::build(const cluster::ClusterConfig& cfg) {
              .sge = {buf, kSlot, smr.lkey}});
       }
     }
-    (void)rbase;
     for (std::uint32_t s = 0; s < opts.n_server_procs; ++s) {
       procs[s].rcq->set_notify([this, s]() {
         // Batched CQ reaping: drain the backlog in wide polls.
@@ -345,51 +339,32 @@ void Deployment::build(const cluster::ClusterConfig& cfg) {
   }
 }
 
-/// ECHO rate = client-observed completions (an echo isn't done until the
-/// response lands back at the issuer, so RNIC op counts would overcount).
-class EchoBench final : public Microbench {
- public:
-  EchoBench(EchoKind kind, const EchoOpts& opts, sim::Tick measure)
-      : Microbench("echo_tput", "Mops"),
-        kind_(kind),
-        opts_(opts),
-        measure_(measure) {}
-
- protected:
-  double execute(const cluster::ClusterConfig& cfg) override {
-    Deployment d;
-    d.kind = kind_;
-    d.opts = opts_;
-    d.unreliable = opts_.opt_level >= 1;
-    d.unsignaled = opts_.opt_level >= 2;
-    d.inlined = opts_.opt_level >= 3;
-    d.tail = &tail();
-    d.build(cfg);
-
-    for (auto& c : d.clients) {
-      while (c->outstanding < opts_.window) d.client_issue(*c);
-    }
-    return measure_rate(
-        *d.cl,
-        [&d]() {
-          std::uint64_t n = 0;
-          for (auto& c : d.clients) n += c->completed;
-          return n;
-        },
-        measure_);
-  }
-
- private:
-  EchoKind kind_;
-  EchoOpts opts_;
-  sim::Tick measure_;
-};
-
 }  // namespace
 
+/// ECHO rate = client-observed completions (an echo isn't done until the
+/// response lands back at the issuer, so RNIC op counts would overcount).
 double echo_tput(const cluster::ClusterConfig& cfg, EchoKind kind,
                  const EchoOpts& opts, sim::Tick measure) {
-  return EchoBench(kind, opts, measure).run(cfg);
+  Microbench mb("echo_tput", "Mops");
+  Deployment d;
+  d.kind = kind;
+  d.opts = opts;
+  d.unreliable = opts.opt_level >= 1;
+  d.unsignaled = opts.opt_level >= 2;
+  d.inlined = opts.opt_level >= 3;
+  d.build(cfg);
+
+  for (auto& c : d.clients) {
+    while (c->outstanding < opts.window) d.client_issue(*c);
+  }
+  return mb.publish(mb.measure_rate(
+      *d.cl,
+      [&d]() {
+        std::uint64_t n = 0;
+        for (auto& c : d.clients) n += c->completed;
+        return n;
+      },
+      measure));
 }
 
 }  // namespace herd::microbench

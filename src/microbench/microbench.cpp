@@ -1,5 +1,7 @@
 #include "microbench/microbench.hpp"
 
+#include <utility>
+
 #include "obs/bench_report.hpp"
 
 namespace herd::microbench {
@@ -17,19 +19,16 @@ bool trace_capture() { return g_trace_capture; }
 
 std::uint32_t next_pump_ordinal() { return ++g_next_pump; }
 
-double Microbench::run(const cluster::ClusterConfig& cfg) {
-  record_.value = 0;
-  record_.snapshot = {};
-  record_.attr = {};
-  record_.timeseries = {};
-  record_.tail = {};
-  record_.tail_ids.clear();
-  record_.trace_json.clear();
+Microbench::Microbench(std::string name, std::string unit) {
+  record_.name = std::move(name);
+  record_.unit = std::move(unit);
   g_next_pump = 0;  // identical runs hand out identical trace-id salts
-  tail_.clear();
-  record_.value = execute(cfg);
+}
+
+double Microbench::publish(double value) {
+  record_.value = value;
   g_last = record_;
-  return record_.value;
+  return value;
 }
 
 double Microbench::measure_rate(cluster::Cluster& cl,
@@ -65,14 +64,15 @@ double Microbench::measure_rate(cluster::Cluster& cl,
 void Microbench::finish(cluster::Cluster& cl) {
   cluster::require_contract_clean(cl);
   record_.snapshot = cl.snapshot();
-  if (tail_.count("ok") > 0) {
-    record_.tail = obs::tail_json(tail_.quantile("ok", 0.99));
+  obs::TailProfiler& tail = cl.tail();
+  if (tail.count("ok") > 0) {
+    record_.tail = obs::tail_json(tail.quantile("ok", 0.99));
   }
   record_.tail_ids.clear();
-  for (const obs::TailProfiler::Sample& s : tail_.samples()) {
+  for (const obs::TailProfiler::Sample& s : tail.samples()) {
     record_.tail_ids.push_back(s.trace_id);
   }
-  tail_.clear();
+  tail.clear();
   if (g_trace_capture && cl.tracer().enabled()) {
     record_.trace_json = cl.tracer().chrome_json();
     cl.tracer().release();

@@ -4,8 +4,11 @@
 // protocol: build a cluster, start traffic, warm up, measure, then refuse
 // to report if the verbs contract checker saw any misuse — a bad posting
 // skews the number rather than crashing, so a dirty run is not a result.
-// Microbench centralizes that protocol plus the end-of-run registry
-// snapshot, so each driver only describes its deployment and what to count.
+// Each public driver is a plain function that builds its deployment and
+// runs it through one Microbench, which owns that protocol, the end-of-run
+// registry snapshot, and the RunRecord; drivers only describe the
+// deployment and what to count. Sampled ops are tail-profiled into the
+// cluster's own profiler (Cluster::tail()).
 #pragma once
 
 #include <cstdint>
@@ -17,7 +20,6 @@
 #include "obs/flight.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/tail.hpp"
 
 namespace herd::microbench {
 
@@ -56,31 +58,20 @@ void set_trace_capture(bool on);
 bool trace_capture();
 
 /// Deterministic per-run ordinal for pump/driver instances, used to salt
-/// the trace ids of sampled ops so concurrent pumps never collide. Reset at
-/// the start of every Microbench::run().
+/// the trace ids of sampled ops so concurrent pumps never collide. Reset by
+/// every Microbench constructor.
 std::uint32_t next_pump_ordinal();
 
-/// Base class for microbench drivers. Subclasses implement execute() —
-/// build the deployment, start traffic, and return the headline value via
-/// the protected helpers, which enforce the contract gate and capture the
-/// snapshot. Drivers that build several clusters (verb latency) call
-/// finish() per cluster; the record keeps the last snapshot.
+/// Sampling cadence of every driver: each kTailSampleEvery-th op (of
+/// signaled verbs, for the throughput pumps) is tail-profiled.
+inline constexpr std::uint32_t kTailSampleEvery = 16;
+
+/// The harness one driver run goes through. Drivers that build several
+/// clusters (verb latency) call finish() per cluster; the record keeps the
+/// last snapshot.
 class Microbench {
  public:
-  Microbench(std::string name, std::string unit) {
-    record_.name = std::move(name);
-    record_.unit = std::move(unit);
-  }
-  virtual ~Microbench() = default;
-
-  /// Runs the bench and returns the headline value. Also publishes the
-  /// RunRecord through last_run() (member and namespace-level).
-  double run(const cluster::ClusterConfig& cfg);
-
-  const RunRecord& last_run() const { return record_; }
-
- protected:
-  virtual double execute(const cluster::ClusterConfig& cfg) = 0;
+  Microbench(std::string name, std::string unit);
 
   /// Rate protocol: 1 ms warm-up, latch `count`, run `measure` of
   /// simulated time, finish(), and return the delta in Mops.
@@ -90,24 +81,22 @@ class Microbench {
 
   /// Contract gate + registry snapshot. Call once per cluster, after its
   /// traffic is done; throws on any recorded verbs-contract violation.
-  /// Folds any finished tail samples into the record (p99 of outcome "ok")
-  /// and resets the profiler, so multi-cluster drivers keep the last
-  /// cluster's breakdown — same convention as the snapshot.
+  /// Folds the finished samples of the cluster's tail profiler into the
+  /// record (p99 of outcome "ok") and clears it, so multi-cluster drivers
+  /// keep the last cluster's breakdown — same convention as the snapshot.
   void finish(cluster::Cluster& cl);
 
-  /// Per-op tail profiler the driver's pumps mark stages into, keyed by
-  /// each sampled op's trace id. Sampling cadence is the driver's choice
-  /// (every Nth op), and the overhead is simulator-side only.
-  obs::TailProfiler& tail() { return tail_; }
+  /// Records `value` as the headline, publishes the RunRecord through
+  /// last_run(), and returns `value`.
+  double publish(double value);
 
  private:
   RunRecord record_;
-  obs::TailProfiler tail_;
 };
 
-/// Record of the most recent Microbench::run() in this process. The free
-/// driver wrappers (inbound_tput, echo_tput, ...) keep their plain-double
-/// signatures; bench binaries read the matching snapshot from here.
+/// Record of the most recent published run in this process. The drivers
+/// (inbound_tput, echo_tput, ...) keep their plain-double signatures;
+/// bench binaries read the matching snapshot from here.
 const RunRecord& last_run();
 
 }  // namespace herd::microbench

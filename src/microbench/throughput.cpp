@@ -1,7 +1,7 @@
 #include "microbench/throughput.hpp"
 
+#include <algorithm>
 #include <array>
-#include <cassert>
 #include <functional>
 #include <memory>
 #include <span>
@@ -23,11 +23,11 @@ namespace {
 /// QP post as ONE WR chain — one doorbell and one (cheaper) chained
 /// post_send charge on the issuing core instead of a full post per verb.
 ///
-/// Every kTailSampleEvery-th *signaled* verb is tail-profiled under its
-/// trace id, which its wr_id also carries so the completion can be matched;
-/// the profiler records issue -> doorbell ("post_cpu") and doorbell ->
-/// completion ("net_rtt") — the two-stage breakdown behind the microbench
-/// figures' per-point "tail" field.
+/// Every kTailSampleEvery-th *signaled* verb is tail-profiled, into the
+/// cluster's profiler, under its trace id, which its wr_id also carries so
+/// the completion can be matched; the profiler records issue -> doorbell
+/// ("post_cpu") and doorbell -> completion ("net_rtt") — the two-stage
+/// breakdown behind the microbench figures' per-point "tail" field.
 class WindowPump {
  public:
   /// Builds the next WR and names the QP it goes to (all-to-all pumps pick
@@ -35,17 +35,14 @@ class WindowPump {
   using MakeFn =
       std::function<std::pair<verbs::Qp*, verbs::SendWr>(bool signaled)>;
 
-  static constexpr std::uint32_t kTailSampleEvery = 16;  // of signaled verbs
-
-  WindowPump(sim::Engine& eng, cluster::SequentialCore& core, verbs::Cq& cq,
-             const TputSpec& spec, const cluster::CpuModel& cpu,
-             obs::TailProfiler* tail, MakeFn make)
-      : eng_(&eng),
+  WindowPump(cluster::Cluster& cl, cluster::SequentialCore& core,
+             verbs::Cq& cq, const TputSpec& spec, MakeFn make)
+      : eng_(&cl.engine()),
         core_(&core),
         cq_(&cq),
         spec_(spec),
-        cpu_(cpu),
-        tail_(tail),
+        cpu_(cl.config().cpu),
+        tail_(&cl.tail()),
         ordinal_(next_pump_ordinal()),
         make_(std::move(make)) {
     cq_->set_notify([this]() { on_cq(); });
@@ -62,8 +59,7 @@ class WindowPump {
       ++seq_;
       bool signaled = seq_ % spec_.signal_every == 0;
       batch.push_back(make_(signaled));
-      if (tail_ != nullptr && signaled &&
-          (seq_ / spec_.signal_every) % kTailSampleEvery == 0) {
+      if (signaled && (seq_ / spec_.signal_every) % kTailSampleEvery == 0) {
         // One trace id per sampled verb (ordinal salt keeps concurrent
         // pumps apart): it keys the tail sample, and the RNIC pipeline
         // spans on both hosts carry it.
@@ -83,11 +79,9 @@ class WindowPump {
       verbs::Qp* qp = batch[i].first;
       core_->run(cpu_.chained_post_cost(chain.size()),
                  [this, qp, chain = std::move(chain)]() {
-                   if (tail_ != nullptr) {
-                     for (const verbs::SendWr& w : chain) {
-                       if (w.wr_id != 0) {
-                         tail_->stage(w.wr_id, "post_cpu", eng_->now());
-                       }
+                   for (const verbs::SendWr& w : chain) {
+                     if (w.wr_id != 0) {
+                       tail_->stage(w.wr_id, "post_cpu", eng_->now());
                      }
                    }
                    qp->post_send(std::span<const verbs::SendWr>(chain));
@@ -102,12 +96,10 @@ class WindowPump {
     std::array<verbs::Wc, 16> wcs;
     std::size_t n;
     while ((n = cq_->poll(wcs)) > 0) {
-      if (tail_ != nullptr) {
-        sim::Tick now = eng_->now();
-        for (std::size_t k = 0; k < n; ++k) {
-          if (wcs[k].wr_id != 0) {
-            tail_->finish(wcs[k].wr_id, "ok", now, "net_rtt");
-          }
+      sim::Tick now = eng_->now();
+      for (std::size_t k = 0; k < n; ++k) {
+        if (wcs[k].wr_id != 0) {
+          tail_->finish(wcs[k].wr_id, "ok", now, "net_rtt");
         }
       }
       post_batch(static_cast<std::uint32_t>(n) * spec_.signal_every);
@@ -132,7 +124,7 @@ struct Requester {
   std::unique_ptr<verbs::Cq> rcq;
   std::vector<std::unique_ptr<verbs::Qp>> qps;
   verbs::Mr mr{};
-  sim::Pcg32 rng{3, 5};
+  sim::Pcg32 rng{3, 5};  // picks a peer per verb when there are several
   std::unique_ptr<WindowPump> pump;
 };
 
@@ -167,202 +159,42 @@ std::function<std::uint64_t()> rnic_ops(cluster::Cluster& cl,
   };
 }
 
-/// The five throughput experiments share everything but the deployment;
-/// each is a thin Microbench whose execute() builds it and counts one
-/// direction of the server RNIC's pipeline.
-class TputBench : public Microbench {
- public:
-  TputBench(const char* name, const TputSpec& spec, sim::Tick measure)
-      : Microbench(name, "Mops"),
-        spec_(normalized(spec)),
-        measure_(measure) {}
-
- protected:
-  TputSpec spec_;
-  sim::Tick measure_;
+/// The inbound shape (Fig. 3, Fig. 6's inbound side, §3.3's many-to-one
+/// test): `procs` requester processes, process i on client machine
+/// 1 + i % `machines`, each with `qps` connections to the server (a verb
+/// picks one at random when there are several) and issuing verbs at slot
+/// (i * qps + j) * `stride` of one server MR. `host_mem` sizes every host
+/// and that MR. Counts the server RNIC's inbound verb rate.
+struct InboundShape {
+  std::uint32_t procs;
+  std::uint32_t machines;
+  std::uint32_t qps;
+  std::uint64_t host_mem;
+  std::uint64_t stride;
 };
 
-class InboundTputBench final : public TputBench {
- public:
-  InboundTputBench(const TputSpec& spec, std::uint32_t n_clients,
-                   sim::Tick measure)
-      : TputBench("inbound_tput", spec, measure), n_clients_(n_clients) {}
-
- protected:
-  double execute(const cluster::ClusterConfig& cfg) override;
-
- private:
-  std::uint32_t n_clients_;
-};
-
-double InboundTputBench::execute(const cluster::ClusterConfig& cfg) {
-  const TputSpec& spec = spec_;
-  std::uint32_t n_clients = n_clients_;
-  cluster::Cluster cl(cfg, 1 + n_clients, 1u << 20);
+double run_inbound(const char* name, const cluster::ClusterConfig& cfg,
+                   const TputSpec& raw_spec, const InboundShape& shape,
+                   sim::Tick measure) {
+  Microbench mb(name, "Mops");
+  const TputSpec spec = normalized(raw_spec);
+  cluster::Cluster cl(cfg, 1 + shape.machines, shape.host_mem);
   auto& server = cl.host(0);
   auto server_cq = server.ctx().create_cq();
   auto smr = server.ctx().register_mr(
-      0, 1u << 20, {.remote_write = true, .remote_read = true});
+      0, shape.host_mem, {.remote_write = true, .remote_read = true});
 
   std::vector<std::unique_ptr<verbs::Qp>> server_qps;
-  std::vector<Requester> reqs(n_clients);
-  for (std::uint32_t i = 0; i < n_clients; ++i) {
+  std::vector<Requester> reqs(shape.procs);
+  for (std::uint32_t i = 0; i < shape.procs; ++i) {
     Requester& r = reqs[i];
-    auto& host = cl.host(1 + i);
-    r.core = std::make_unique<cluster::SequentialCore>(cl.engine(), "c");
-    r.scq = host.ctx().create_cq();
-    r.rcq = host.ctx().create_cq();
-    r.mr = host.ctx().register_mr(0, 8192, {});
-    auto cqp = host.ctx().create_qp({spec.transport, r.scq.get(), r.rcq.get()});
-    auto sqp = server.ctx().create_qp(
-        {spec.transport, server_cq.get(), server_cq.get()});
-    cqp->connect(*sqp);
-    r.qps.push_back(std::move(cqp));
-    server_qps.push_back(std::move(sqp));
-
-    std::uint64_t target = std::uint64_t{i} * 4096;
-    verbs::Qp* qp = r.qps[0].get();
-    r.pump = std::make_unique<WindowPump>(
-        cl.engine(), *r.core, *r.scq, spec, cfg.cpu, &tail(),
-        [qp, spec, &r, smr, target](bool signaled) {
-          return std::pair{qp, make_wr(spec, r.mr, smr, target, signaled)};
-        });
-  }
-  for (auto& r : reqs) r.pump->start();
-  return measure_rate(cl, rnic_ops(cl, true), measure_);
-}
-
-class OutboundTputBench final : public TputBench {
- public:
-  OutboundTputBench(const TputSpec& spec, std::uint32_t n_procs,
-                    sim::Tick measure)
-      : TputBench("outbound_tput", spec, measure), n_procs_(n_procs) {}
-
- protected:
-  double execute(const cluster::ClusterConfig& cfg) override;
-
- private:
-  std::uint32_t n_procs_;
-};
-
-double OutboundTputBench::execute(const cluster::ClusterConfig& cfg) {
-  const TputSpec& spec = spec_;
-  std::uint32_t n_procs = n_procs_;
-  cluster::Cluster cl(cfg, 1 + n_procs, 1u << 20);
-  auto& server = cl.host(0);
-
-  struct ClientSide {
-    std::unique_ptr<verbs::Cq> cq;
-    std::unique_ptr<verbs::Qp> qp;
-    verbs::Mr mr{};
-  };
-  std::vector<ClientSide> clients(n_procs);
-  std::vector<Requester> procs(n_procs);
-
-  for (std::uint32_t i = 0; i < n_procs; ++i) {
-    auto& chost = cl.host(1 + i);
-    ClientSide& cs = clients[i];
-    cs.cq = chost.ctx().create_cq();
-    cs.mr = chost.ctx().register_mr(
-        0, 1u << 20, {.remote_write = true, .remote_read = true});
-
-    Requester& r = procs[i];
-    r.core = std::make_unique<cluster::SequentialCore>(cl.engine(), "p");
-    r.scq = server.ctx().create_cq();
-    r.rcq = server.ctx().create_cq();
-    r.mr = server.ctx().register_mr(std::uint64_t{i} * 8192, 8192, {});
-
-    if (spec.transport == verbs::Transport::kUd) {
-      // UD SEND: receiver must keep RECVs posted.
-      cs.qp = chost.ctx().create_qp(
-          {verbs::Transport::kUd, cs.cq.get(), cs.cq.get()});
-      for (int k = 0; k < 256; ++k) {
-        cs.qp->post_recv({.wr_id = 0,
-                          .sge = {0, 4096, cs.mr.lkey}});
-      }
-      // Drain completions and repost (client CPU not modeled here:
-      // "client machines often perform enough other work", §4.3).
-      verbs::Qp* rq = cs.qp.get();
-      verbs::Mr cmr = cs.mr;
-      cs.cq->set_notify([rq, cmr, cq = cs.cq.get()]() {
-        verbs::Wc wc;
-        while (cq->poll({&wc, 1}) == 1) {
-          if (wc.opcode == verbs::WcOpcode::kRecv) {
-            rq->post_recv({.wr_id = 0, .sge = {0, 4096, cmr.lkey}});
-          }
-        }
-      });
-
-      auto ud = server.ctx().create_qp(
-          {verbs::Transport::kUd, r.scq.get(), r.rcq.get()});
-      verbs::Qp* uq = ud.get();
-      verbs::Ah ah{&chost.ctx(), rq->qpn()};
-      r.qps.push_back(std::move(ud));
-      r.pump = std::make_unique<WindowPump>(
-          cl.engine(), *r.core, *r.scq, spec, cfg.cpu, &tail(),
-          [uq, spec, &r, ah](bool signaled) {
-            verbs::SendWr wr;
-            wr.opcode = verbs::Opcode::kSend;
-            wr.sge = {r.mr.addr, spec.payload, r.mr.lkey};
-            wr.inline_data = spec.inlined;
-            wr.signaled = signaled;
-            wr.ah = ah;
-            return std::pair{uq, wr};
-          });
-    } else {
-      cs.qp = chost.ctx().create_qp(
-          {spec.transport, cs.cq.get(), cs.cq.get()});
-      auto sqp = server.ctx().create_qp(
-          {spec.transport, r.scq.get(), r.rcq.get()});
-      sqp->connect(*cs.qp);
-      verbs::Qp* qp = sqp.get();
-      verbs::Mr cmr = cs.mr;
-      r.qps.push_back(std::move(sqp));
-      r.pump = std::make_unique<WindowPump>(
-          cl.engine(), *r.core, *r.scq, spec, cfg.cpu, &tail(),
-          [qp, spec, &r, cmr](bool signaled) {
-            return std::pair{qp, make_wr(spec, r.mr, cmr, 0, signaled)};
-          });
-    }
-  }
-  for (auto& r : procs) r.pump->start();
-  return measure_rate(cl, rnic_ops(cl, false), measure_);
-}
-
-class AllToAllInboundBench final : public TputBench {
- public:
-  AllToAllInboundBench(const TputSpec& spec, std::uint32_t n,
-                       sim::Tick measure)
-      : TputBench("all_to_all_inbound", spec, measure), n_(n) {}
-
- protected:
-  double execute(const cluster::ClusterConfig& cfg) override;
-
- private:
-  std::uint32_t n_;
-};
-
-double AllToAllInboundBench::execute(const cluster::ClusterConfig& cfg) {
-  const TputSpec& spec = spec_;
-  std::uint32_t n = n_;
-  cluster::Cluster cl(cfg, 1 + n, 4u << 20);
-  auto& server = cl.host(0);
-  auto server_cq = server.ctx().create_cq();
-  auto smr = server.ctx().register_mr(
-      0, 4u << 20, {.remote_write = true, .remote_read = true});
-
-  std::vector<std::unique_ptr<verbs::Qp>> server_qps;
-  std::vector<Requester> reqs(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    Requester& r = reqs[i];
-    auto& host = cl.host(1 + i);
+    auto& host = cl.host(1 + i % shape.machines);
     r.core = std::make_unique<cluster::SequentialCore>(cl.engine(), "c");
     r.scq = host.ctx().create_cq();
     r.rcq = host.ctx().create_cq();
     r.mr = host.ctx().register_mr(0, 8192, {});
     r.rng = sim::Pcg32(17 + i, 23);
-    // One QP to each of the N "server processes" (N*N QPs total at MS).
-    for (std::uint32_t j = 0; j < n; ++j) {
+    for (std::uint32_t j = 0; j < shape.qps; ++j) {
       auto cqp = host.ctx().create_qp(
           {spec.transport, r.scq.get(), r.rcq.get()});
       auto sqp = server.ctx().create_qp(
@@ -372,38 +204,45 @@ double AllToAllInboundBench::execute(const cluster::ClusterConfig& cfg) {
       server_qps.push_back(std::move(sqp));
     }
     r.pump = std::make_unique<WindowPump>(
-        cl.engine(), *r.core, *r.scq, spec, cfg.cpu, &tail(),
-        [&r, spec, smr, i, n](bool signaled) {
-          std::uint32_t j = r.rng.next_below(n);
-          std::uint64_t target = (std::uint64_t{i} * n + j) * 256;
+        cl, *r.core, *r.scq, spec,
+        [&r, spec, smr, i, shape](bool signaled) {
+          std::uint32_t j = shape.qps > 1 ? r.rng.next_below(shape.qps) : 0;
+          std::uint64_t target =
+              (std::uint64_t{i} * shape.qps + j) * shape.stride;
           return std::pair{r.qps[j].get(),
                            make_wr(spec, r.mr, smr, target, signaled)};
         });
   }
   for (auto& r : reqs) r.pump->start();
-  return measure_rate(cl, rnic_ops(cl, true), measure_);
+  return mb.publish(mb.measure_rate(cl, rnic_ops(cl, true), measure));
 }
 
-class AllToAllOutboundBench final : public TputBench {
- public:
-  AllToAllOutboundBench(const TputSpec& spec, std::uint32_t n,
-                        sim::Tick measure)
-      : TputBench("all_to_all_outbound", spec, measure), n_(n) {}
-
- protected:
-  double execute(const cluster::ClusterConfig& cfg) override;
-
- private:
-  std::uint32_t n_;
+/// The outbound shape (Fig. 4, Fig. 6's outbound side): `procs` server
+/// processes, each posting to client machine 1 + s, or (`all_to_all`) to a
+/// random client per verb. Connected transports use one QP per
+/// (process, client) pair and write client offset s * `stride`; UD uses one
+/// QP per process, addressed per verb, and each client keeps `ud_recvs`
+/// RECVs posted. `host_mem` sizes every host. Counts the server RNIC's
+/// outbound verb rate.
+struct OutboundShape {
+  std::uint32_t procs;
+  bool all_to_all;
+  std::uint64_t host_mem;
+  std::uint64_t stride;
+  std::uint32_t ud_recvs;
 };
 
-double AllToAllOutboundBench::execute(const cluster::ClusterConfig& cfg) {
-  const TputSpec& spec = spec_;
-  std::uint32_t n = n_;
-  cluster::Cluster cl(cfg, 1 + n, 4u << 20);
+double run_outbound(const char* name, const cluster::ClusterConfig& cfg,
+                    const TputSpec& raw_spec, const OutboundShape& shape,
+                    sim::Tick measure) {
+  Microbench mb(name, "Mops");
+  const TputSpec spec = normalized(raw_spec);
+  const std::uint32_t n = shape.procs;
+  cluster::Cluster cl(cfg, 1 + n, shape.host_mem);
   auto& server = cl.host(0);
 
   struct ClientSide {
+    cluster::Host* host = nullptr;
     std::unique_ptr<verbs::Cq> cq;
     std::vector<std::unique_ptr<verbs::Qp>> qps;  // peers of server procs
     std::unique_ptr<verbs::Qp> ud;
@@ -411,17 +250,20 @@ double AllToAllOutboundBench::execute(const cluster::ClusterConfig& cfg) {
   };
   std::vector<ClientSide> clients(n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    auto& chost = cl.host(1 + i);
-    clients[i].cq = chost.ctx().create_cq();
-    clients[i].mr = chost.ctx().register_mr(
+    ClientSide& cs = clients[i];
+    cs.host = &cl.host(1 + i);
+    cs.cq = cs.host->ctx().create_cq();
+    cs.mr = cs.host->ctx().register_mr(
         0, 1u << 20, {.remote_write = true, .remote_read = true});
     if (spec.transport == verbs::Transport::kUd) {
-      auto& cs = clients[i];
-      cs.ud = chost.ctx().create_qp(
+      // UD SEND: the receiver must keep RECVs posted.
+      cs.ud = cs.host->ctx().create_qp(
           {verbs::Transport::kUd, cs.cq.get(), cs.cq.get()});
-      for (int k = 0; k < 512; ++k) {
+      for (std::uint32_t k = 0; k < shape.ud_recvs; ++k) {
         cs.ud->post_recv({.wr_id = 0, .sge = {0, 4096, cs.mr.lkey}});
       }
+      // Drain completions and repost (client CPU not modeled here:
+      // "client machines often perform enough other work", §4.3).
       cs.cq->set_notify([&cs]() {
         verbs::Wc wc;
         while (cs.cq->poll({&wc, 1}) == 1) {
@@ -441,6 +283,13 @@ double AllToAllOutboundBench::execute(const cluster::ClusterConfig& cfg) {
     r.rcq = server.ctx().create_cq();
     r.mr = server.ctx().register_mr(std::uint64_t{s} * 8192, 8192, {});
     r.rng = sim::Pcg32(37 + s, 41);
+    // Peers of process s: clients [first, last); a verb picks one.
+    std::uint32_t first = shape.all_to_all ? 0 : s;
+    std::uint32_t last = shape.all_to_all ? n : s + 1;
+    auto peer = [&r, first, last]() {
+      return last - first > 1 ? first + r.rng.next_below(last - first)
+                              : first;
+    };
 
     if (spec.transport == verbs::Transport::kUd) {
       auto ud = server.ctx().create_qp(
@@ -448,126 +297,80 @@ double AllToAllOutboundBench::execute(const cluster::ClusterConfig& cfg) {
       verbs::Qp* uq = ud.get();
       r.qps.push_back(std::move(ud));
       r.pump = std::make_unique<WindowPump>(
-          cl.engine(), *r.core, *r.scq, spec, cfg.cpu, &tail(),
-          [&r, uq, spec, &clients, &cl, n](bool signaled) {
-            std::uint32_t j = r.rng.next_below(n);
+          cl, *r.core, *r.scq, spec,
+          [&r, uq, spec, &clients, peer](bool signaled) {
+            const ClientSide& cs = clients[peer()];
             verbs::SendWr wr;
             wr.opcode = verbs::Opcode::kSend;
             wr.sge = {r.mr.addr, spec.payload, r.mr.lkey};
             wr.inline_data = spec.inlined;
             wr.signaled = signaled;
-            wr.ah = verbs::Ah{&cl.host(1 + j).ctx(), clients[j].ud->qpn()};
+            wr.ah = verbs::Ah{&cs.host->ctx(), cs.ud->qpn()};
             return std::pair{uq, wr};
           });
     } else {
-      for (std::uint32_t j = 0; j < n; ++j) {
+      for (std::uint32_t j = first; j < last; ++j) {
         auto sqp = server.ctx().create_qp(
             {spec.transport, r.scq.get(), r.rcq.get()});
-        auto cqp = cl.host(1 + j).ctx().create_qp(
+        auto cqp = clients[j].host->ctx().create_qp(
             {spec.transport, clients[j].cq.get(), clients[j].cq.get()});
         sqp->connect(*cqp);
         r.qps.push_back(std::move(sqp));
         clients[j].qps.push_back(std::move(cqp));
       }
+      std::uint64_t target = std::uint64_t{s} * shape.stride;
       r.pump = std::make_unique<WindowPump>(
-          cl.engine(), *r.core, *r.scq, spec, cfg.cpu, &tail(),
-          [&r, spec, &clients, s, n](bool signaled) {
-            std::uint32_t j = r.rng.next_below(n);
-            std::uint64_t target = std::uint64_t{s} * 256;
+          cl, *r.core, *r.scq, spec,
+          [&r, spec, &clients, peer, first, target](bool signaled) {
+            std::uint32_t j = peer();
             return std::pair{
-                r.qps[j].get(),
+                r.qps[j - first].get(),
                 make_wr(spec, r.mr, clients[j].mr, target, signaled)};
           });
     }
   }
   for (auto& r : procs) r.pump->start();
-  return measure_rate(cl, rnic_ops(cl, false), measure_);
-}
-
-class ManyToOneTputBench final : public TputBench {
- public:
-  ManyToOneTputBench(const TputSpec& spec, std::uint32_t n_processes,
-                     std::uint32_t n_machines, sim::Tick measure)
-      : TputBench("many_to_one_tput", spec, measure),
-        n_processes_(n_processes),
-        n_machines_(n_machines) {}
-
- protected:
-  double execute(const cluster::ClusterConfig& cfg) override;
-
- private:
-  std::uint32_t n_processes_;
-  std::uint32_t n_machines_;
-};
-
-double ManyToOneTputBench::execute(const cluster::ClusterConfig& cfg) {
-  const TputSpec& spec = spec_;
-  std::uint32_t n_processes = n_processes_;
-  std::uint32_t n_machines = n_machines_;
-  std::uint64_t server_mem = std::uint64_t{n_processes} * 256 + 4096;
-  cluster::Cluster cl(cfg, 1 + n_machines, std::max<std::uint64_t>(
-                                               server_mem, 1u << 20));
-  auto& server = cl.host(0);
-  auto server_cq = server.ctx().create_cq();
-  auto smr = server.ctx().register_mr(0, server_mem, {.remote_write = true});
-
-  std::vector<std::unique_ptr<verbs::Qp>> server_qps;
-  std::vector<Requester> reqs(n_processes);
-  for (std::uint32_t i = 0; i < n_processes; ++i) {
-    Requester& r = reqs[i];
-    auto& host = cl.host(1 + i % n_machines);
-    r.core = std::make_unique<cluster::SequentialCore>(cl.engine(), "c");
-    r.scq = host.ctx().create_cq();
-    r.rcq = host.ctx().create_cq();
-    r.mr = host.ctx().register_mr((i / n_machines) * 512 % (1u << 19), 512,
-                                  {});
-    auto cqp = host.ctx().create_qp(
-        {spec.transport, r.scq.get(), r.rcq.get()});
-    auto sqp = server.ctx().create_qp(
-        {spec.transport, server_cq.get(), server_cq.get()});
-    cqp->connect(*sqp);
-    r.qps.push_back(std::move(cqp));
-    server_qps.push_back(std::move(sqp));
-    std::uint64_t target = std::uint64_t{i} * 256;
-    verbs::Qp* qp = r.qps[0].get();
-    r.pump = std::make_unique<WindowPump>(
-        cl.engine(), *r.core, *r.scq, spec, cfg.cpu, &tail(),
-        [qp, spec, &r, smr, target](bool signaled) {
-          return std::pair{qp, make_wr(spec, r.mr, smr, target, signaled)};
-        });
-  }
-  for (auto& r : reqs) r.pump->start();
-  return measure_rate(cl, rnic_ops(cl, true), measure_);
+  return mb.publish(mb.measure_rate(cl, rnic_ops(cl, false), measure));
 }
 
 }  // namespace
 
 double inbound_tput(const cluster::ClusterConfig& cfg, const TputSpec& spec,
                     std::uint32_t n_clients, sim::Tick measure) {
-  return InboundTputBench(spec, n_clients, measure).run(cfg);
+  return run_inbound("inbound_tput", cfg, spec,
+                     {n_clients, n_clients, 1, 1u << 20, 4096}, measure);
 }
 
 double outbound_tput(const cluster::ClusterConfig& cfg, const TputSpec& spec,
                      std::uint32_t n_procs, sim::Tick measure) {
-  return OutboundTputBench(spec, n_procs, measure).run(cfg);
+  return run_outbound("outbound_tput", cfg, spec,
+                      {n_procs, false, 1u << 20, 0, 256}, measure);
 }
 
 double all_to_all_inbound(const cluster::ClusterConfig& cfg,
                           const TputSpec& spec, std::uint32_t n,
                           sim::Tick measure) {
-  return AllToAllInboundBench(spec, n, measure).run(cfg);
+  // One QP to each of the N "server processes" (N*N QPs total at MS).
+  return run_inbound("all_to_all_inbound", cfg, spec, {n, n, n, 4u << 20, 256},
+                     measure);
 }
 
 double all_to_all_outbound(const cluster::ClusterConfig& cfg,
                            const TputSpec& spec, std::uint32_t n,
                            sim::Tick measure) {
-  return AllToAllOutboundBench(spec, n, measure).run(cfg);
+  return run_outbound("all_to_all_outbound", cfg, spec,
+                      {n, true, 4u << 20, 256, 512}, measure);
 }
 
 double many_to_one_tput(const cluster::ClusterConfig& cfg,
                         const TputSpec& spec, std::uint32_t n_processes,
                         std::uint32_t n_machines, sim::Tick measure) {
-  return ManyToOneTputBench(spec, n_processes, n_machines, measure).run(cfg);
+  std::uint64_t server_mem = std::uint64_t{n_processes} * 256 + 4096;
+  return run_inbound(
+      "many_to_one_tput", cfg, spec,
+      {n_processes, n_machines, 1,
+       std::max<std::uint64_t>(server_mem, 1u << 20), 256},
+      measure);
 }
 
 }  // namespace herd::microbench

@@ -11,16 +11,16 @@ namespace herd::microbench {
 
 namespace {
 
-/// Every 16th ping is tail-profiled. One op is in flight at a time, so the
-/// whole latency is a single honest "net_rtt" (or "echo_rtt") stage — the
-/// breakdown trivially sums to the end-to-end number.
-constexpr std::uint32_t kTailSampleEvery = 16;
+// Every kTailSampleEvery-th ping is tail-profiled into the cluster's
+// profiler. One op is in flight at a time, so the whole latency is a single
+// honest "net_rtt" (or "echo_rtt") stage — the breakdown trivially sums to
+// the end-to-end number.
 
 /// Ping-pong driver for one signaled verb type. Contract gating and
-/// snapshotting are the caller's job (VerbLatencyBench::finish).
+/// snapshotting are the caller's job (Microbench::finish).
 double signaled_latency(cluster::Cluster& cl, verbs::Opcode opcode,
                         bool inlined, std::uint32_t payload,
-                        std::uint32_t iters, obs::TailProfiler* tail) {
+                        std::uint32_t iters) {
   auto& client = cl.host(0);
   auto& server = cl.host(1);
   auto scq = client.ctx().create_cq();
@@ -51,9 +51,9 @@ double signaled_latency(cluster::Cluster& cl, verbs::Opcode opcode,
     wr.inline_data = inlined;
     wr.signaled = true;
     posted = eng.now();
-    if (tail != nullptr && ++seq % kTailSampleEvery == 0) {
+    if (++seq % kTailSampleEvery == 0) {
       sampled = seq;
-      tail->begin(sampled, posted);
+      cl.tail().begin(sampled, posted);
     }
     cqp->post_send(wr);
   };
@@ -64,7 +64,7 @@ double signaled_latency(cluster::Cluster& cl, verbs::Opcode opcode,
       for (std::size_t i = 0; i < n; ++i) {
         hist.record(eng.now() - posted);
         if (sampled != 0) {
-          tail->finish(sampled, "ok", eng.now(), "net_rtt");
+          cl.tail().finish(sampled, "ok", eng.now(), "net_rtt");
           sampled = 0;
         }
         if (--remaining > 0) {
@@ -81,7 +81,7 @@ double signaled_latency(cluster::Cluster& cl, verbs::Opcode opcode,
 
 /// Inlined + unsignaled WRITE echo over RC (Fig. 2a's "WR-I, RC (ECHO)").
 double echo_latency(cluster::Cluster& cl, std::uint32_t payload,
-                    std::uint32_t iters, obs::TailProfiler* tail) {
+                    std::uint32_t iters) {
   auto& client = cl.host(0);
   auto& server = cl.host(1);
   auto ccq = client.ctx().create_cq();
@@ -127,9 +127,9 @@ double echo_latency(cluster::Cluster& cl, std::uint32_t payload,
     wr.inline_data = true;
     wr.signaled = false;
     posted = eng.now();
-    if (tail != nullptr && ++seq % kTailSampleEvery == 0) {
+    if (++seq % kTailSampleEvery == 0) {
       sampled = seq;
-      tail->begin(sampled, posted);
+      cl.tail().begin(sampled, posted);
     }
     cqp->post_send(wr);
   };
@@ -137,8 +137,8 @@ double echo_latency(cluster::Cluster& cl, std::uint32_t payload,
                             [&](std::uint64_t, std::uint32_t) {
                               hist.record(eng.now() - posted);
                               if (sampled != 0) {
-                                tail->finish(sampled, "ok", eng.now(),
-                                             "echo_rtt");
+                                cl.tail().finish(sampled, "ok", eng.now(),
+                                                 "echo_rtt");
                                 sampled = 0;
                               }
                               if (--remaining > 0) {
@@ -150,60 +150,37 @@ double echo_latency(cluster::Cluster& cl, std::uint32_t payload,
   return hist.mean_ns() / 1e3;
 }
 
+}  // namespace
+
 /// Fig. 2: each variant gets a fresh two-host cluster so QP caches and
 /// resource occupancy never bleed between measurements. finish() runs per
 /// cluster; the record keeps the last (ECHO or WRITE-inline) snapshot.
-class VerbLatencyBench final : public Microbench {
- public:
-  VerbLatencyBench(std::uint32_t payload, std::uint32_t iters)
-      : Microbench("verb_latency", "us"), payload_(payload), iters_(iters) {}
-
-  const LatencyResult& result() const { return result_; }
-
- protected:
-  double execute(const cluster::ClusterConfig& cfg) override {
-    LatencyResult& r = result_;
-    {
-      cluster::Cluster cl(cfg, 2, 64 << 10);
-      r.read_us = signaled_latency(cl, verbs::Opcode::kRead, false, payload_,
-                                   iters_, &tail());
-      finish(cl);
-    }
-    {
-      cluster::Cluster cl(cfg, 2, 64 << 10);
-      r.write_us = signaled_latency(cl, verbs::Opcode::kWrite, false,
-                                    payload_, iters_, &tail());
-      finish(cl);
-    }
-    if (payload_ <= cfg.rnic.max_inline) {
-      {
-        cluster::Cluster cl(cfg, 2, 64 << 10);
-        r.write_inline_us = signaled_latency(cl, verbs::Opcode::kWrite, true,
-                                             payload_, iters_, &tail());
-        finish(cl);
-      }
-      {
-        cluster::Cluster cl(cfg, 2, 64 << 10);
-        r.echo_us = echo_latency(cl, payload_, iters_, &tail());
-        finish(cl);
-      }
-    }
-    return r.write_us;
-  }
-
- private:
-  std::uint32_t payload_;
-  std::uint32_t iters_;
-  LatencyResult result_{};
-};
-
-}  // namespace
-
 LatencyResult verb_latency(const cluster::ClusterConfig& cfg,
                            std::uint32_t payload, std::uint32_t iters) {
-  VerbLatencyBench b(payload, iters);
-  b.run(cfg);
-  return b.result();
+  Microbench mb("verb_latency", "us");
+  auto fresh = [&](auto&& ping) {
+    cluster::Cluster cl(cfg, 2, 64 << 10);
+    double us = ping(cl);
+    mb.finish(cl);
+    return us;
+  };
+  LatencyResult r;
+  r.read_us = fresh([&](cluster::Cluster& cl) {
+    return signaled_latency(cl, verbs::Opcode::kRead, false, payload, iters);
+  });
+  r.write_us = fresh([&](cluster::Cluster& cl) {
+    return signaled_latency(cl, verbs::Opcode::kWrite, false, payload, iters);
+  });
+  if (payload <= cfg.rnic.max_inline) {
+    r.write_inline_us = fresh([&](cluster::Cluster& cl) {
+      return signaled_latency(cl, verbs::Opcode::kWrite, true, payload, iters);
+    });
+    r.echo_us = fresh([&](cluster::Cluster& cl) {
+      return echo_latency(cl, payload, iters);
+    });
+  }
+  mb.publish(r.write_us);
+  return r;
 }
 
 }  // namespace herd::microbench
