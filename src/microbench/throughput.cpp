@@ -77,7 +77,9 @@ class WindowPump {
       chain.reserve(j - i);
       for (std::size_t k = i; k < j; ++k) chain.push_back(batch[k].second);
       verbs::Qp* qp = batch[i].first;
-      core_->run(cpu_.chained_post_cost(chain.size()),
+      // The cost takes the chain length from j - i, not chain.size(): the
+      // capture below may move `chain` out before the argument is read.
+      core_->run(cpu_.chained_post_cost(j - i),
                  [this, qp, chain = std::move(chain)]() {
                    for (const verbs::SendWr& w : chain) {
                      if (w.wr_id != 0) {

@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "microbench/echo.hpp"
@@ -70,21 +72,34 @@ TEST(InboundTput, EverySampledVerbFinishesExactlyOneTailSample) {
   // Keyed by the salted trace id — (pump ordinal << 32) | seq — each
   // sampled verb is its own sample: per pump, the finished ids are the
   // sampling cadence's multiples 1x, 2x, ..., kx with no gap (a sample lost
-  // to a restart) and no repeat (one verb finished twice).
+  // to a restart) and no repeat (one verb finished twice). Both traffic
+  // shapes, one QP per process and several (all-to-all), sample alike.
   TputSpec wr;
   wr.opcode = verbs::Opcode::kWrite;
-  constexpr std::uint32_t kClients = 4;
-  inbound_tput(kApt, wr, kClients, sim::us(250));
-  const std::vector<std::uint64_t>& ids = last_run().tail_ids;
-  ASSERT_FALSE(ids.empty());
-  std::map<std::uint64_t, std::vector<std::uint64_t>> seqs;  // by pump
-  for (std::uint64_t id : ids) seqs[id >> 32].push_back(id & 0xffffffffu);
-  ASSERT_EQ(seqs.size(), kClients);
-  for (auto& [pump, s] : seqs) {
-    std::sort(s.begin(), s.end());
-    ASSERT_GT(s.size(), 1u) << "pump " << pump;
-    for (std::size_t k = 0; k < s.size(); ++k) {
-      EXPECT_EQ(s[k], (k + 1) * s[0]) << "pump " << pump << " sample " << k;
+  constexpr std::uint32_t kProcs = 4;
+  const sim::Tick measure = sim::us(250);
+  const std::pair<const char*, std::function<void()>> runs[] = {
+      {"inbound", [&] { inbound_tput(kApt, wr, kProcs, measure); }},
+      {"outbound", [&] { outbound_tput(kApt, wr, kProcs, measure); }},
+      {"all_to_all_inbound",
+       [&] { all_to_all_inbound(kApt, wr, kProcs, measure); }},
+      {"all_to_all_outbound",
+       [&] { all_to_all_outbound(kApt, wr, kProcs, measure); }},
+  };
+  for (const auto& [shape, run] : runs) {
+    SCOPED_TRACE(shape);
+    run();
+    const std::vector<std::uint64_t>& ids = last_run().tail_ids;
+    ASSERT_FALSE(ids.empty());
+    std::map<std::uint64_t, std::vector<std::uint64_t>> seqs;  // by pump
+    for (std::uint64_t id : ids) seqs[id >> 32].push_back(id & 0xffffffffu);
+    ASSERT_EQ(seqs.size(), kProcs);
+    for (auto& [pump, s] : seqs) {
+      std::sort(s.begin(), s.end());
+      ASSERT_GT(s.size(), 1u) << "pump " << pump;
+      for (std::size_t k = 0; k < s.size(); ++k) {
+        EXPECT_EQ(s[k], (k + 1) * s[0]) << "pump " << pump << " sample " << k;
+      }
     }
   }
 }
@@ -92,6 +107,21 @@ TEST(InboundTput, EverySampledVerbFinishesExactlyOneTailSample) {
 TEST(OutboundTput, ReadsHoldTwentyTwoMops) {
   TputSpec rd{verbs::Opcode::kRead, verbs::Transport::kRc, false, 32, 16, 1};
   EXPECT_NEAR(outbound_tput(kApt, rd), 22.0, 1.5);
+}
+
+TEST(OutboundTput, SampledVerbsChargeTheirPostCpu) {
+  // A pump's chained post costs its core chained_post_cost(chain length);
+  // a sampled verb's "post_cpu" stage (issue -> doorbell) includes it, so
+  // it cannot be zero.
+  TputSpec wr{verbs::Opcode::kWrite, verbs::Transport::kUc, true, 256, 8, 4};
+  outbound_tput(kApt, wr, 16, sim::us(250));
+  const obs::Json* stages = last_run().tail.find("stages");
+  ASSERT_NE(stages, nullptr);
+  const obs::Json* post_cpu = stages->find("post_cpu");
+  ASSERT_NE(post_cpu, nullptr);
+  // The p99 sample's stage, in µs, covers at least one full post_send.
+  EXPECT_GE(post_cpu->as_double() * 1e6,
+            0.999 * static_cast<double>(kApt.cpu.post_send));
 }
 
 TEST(OutboundTput, DoorbellBatchingFlattensInlineWriteKnee) {
