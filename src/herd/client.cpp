@@ -92,6 +92,14 @@ void HerdClient::pump() {
   }
 }
 
+void HerdClient::in_flight_traces(std::vector<obs::TraceCtx>& out) const {
+  for (const std::deque<InFlight>& q : inflight_) {
+    for (const InFlight& fl : q) {
+      if (fl.trace.sampled()) out.push_back(fl.trace);
+    }
+  }
+}
+
 std::uint32_t HerdClient::pick_backup(std::uint32_t s) const {
   for (std::uint32_t i = 1; i < cfg_.n_server_procs; ++i) {
     std::uint32_t b = (s + i) % cfg_.n_server_procs;

@@ -125,6 +125,10 @@ class HerdClient {
   /// "every request reaches a terminal state" check).
   std::uint32_t outstanding() const { return outstanding_; }
 
+  /// Appends the trace context (trace id, open root span) of every sampled
+  /// request still in flight.
+  void in_flight_traces(std::vector<obs::TraceCtx>& out) const;
+
   /// True if the client currently suspects server process `s` is dead.
   bool proc_suspected(std::uint32_t s) const { return proc_down_.at(s) != 0; }
 

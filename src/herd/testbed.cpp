@@ -425,6 +425,12 @@ std::string HerdTestbed::contract_diagnostics() const {
   return cluster_->contract_diagnostics();
 }
 
+std::string HerdTestbed::trace_json() const {
+  std::vector<obs::TraceCtx> in_flight;
+  for (const auto& c : clients_) c->in_flight_traces(in_flight);
+  return cluster_->tracer().chrome_json(in_flight, cluster_->engine().now());
+}
+
 std::vector<double> HerdTestbed::per_proc_mops() const {
   std::vector<double> out(proc_requests_.size());
   for (std::size_t s = 0; s < out.size(); ++s) {

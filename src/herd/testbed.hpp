@@ -276,8 +276,9 @@ class HerdTestbed {
   obs::TailProfiler& tail() { return cluster_->tail(); }
   const obs::TailProfiler& tail() const { return cluster_->tail(); }
   /// Chrome trace_event JSON of everything recorded so far (load in
-  /// chrome://tracing or Perfetto).
-  std::string trace_json() const { return cluster_->tracer().chrome_json(); }
+  /// chrome://tracing or Perfetto). Sampled requests still in flight export
+  /// their root span cut at the current time and marked in flight.
+  std::string trace_json() const;
 
   /// Bottleneck attribution over the last run()'s measure window.
   const obs::Attribution& attribution() const { return attr_; }

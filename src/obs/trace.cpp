@@ -1,5 +1,6 @@
 #include "obs/trace.hpp"
 
+#include <algorithm>
 #include <map>
 
 namespace herd::obs {
@@ -44,7 +45,8 @@ void append_hex(std::string& out, std::uint64_t v) {
 
 }  // namespace
 
-std::string Tracer::chrome_json() const {
+std::string Tracer::chrome_json(std::span<const TraceCtx> in_flight,
+                                sim::Tick now) const {
   // tid per track, in first-appearance order (stable across replays).
   std::map<std::string, int> tids;
   std::vector<const std::string*> track_order;
@@ -72,21 +74,29 @@ std::string Tracer::chrome_json() const {
     out += "}}";
   }
   for (const Event& e : events_) {
+    // The root span of a request still in flight is cut at `now`.
+    bool cut = e.open && std::any_of(in_flight.begin(), in_flight.end(),
+                                     [&e](const TraceCtx& r) {
+                                       return r.trace_id == e.trace_id &&
+                                              r.parent == e.span_id;
+                                     });
+    bool open = e.open && !cut;
+    sim::Tick end = cut ? now : e.end;
     out += ",\n{\"name\":";
     append_escaped(out, e.name);
     out += ",\"ph\":\"";
     // A span_begin never span_end'ed exports as a lone "B": visible in
     // viewers, rejected by bench_schema_check.
-    out += e.instant ? 'i' : (e.open ? 'B' : 'X');
+    out += e.instant ? 'i' : (open ? 'B' : 'X');
     out += "\",\"pid\":0,\"tid\":";
     out += std::to_string(tids[e.track]);
     out += ",\"ts\":";
     append_us(out, e.start);
     if (e.instant) {
       out += ",\"s\":\"t\"";
-    } else if (!e.open) {
+    } else if (!open) {
       out += ",\"dur\":";
-      append_us(out, e.end > e.start ? e.end - e.start : 0);
+      append_us(out, end > e.start ? end - e.start : 0);
     }
     bool traced = e.trace_id != 0 || e.span_id != 0;
     if (!e.args.empty() || traced) {
@@ -106,6 +116,7 @@ std::string Tracer::chrome_json() const {
         out += ",\"parent\":";
         out += std::to_string(e.parent);
       }
+      if (cut) out += ",\"in_flight\":true";
       out += '}';
     }
     out += '}';

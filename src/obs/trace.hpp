@@ -31,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -239,10 +240,15 @@ class Tracer {
   /// Chrome trace_event JSON, schema "herd-trace/2": complete ("X") events
   /// with ts/dur in microseconds of simulated time, one metadata-named
   /// thread per track, and per-event args carrying trace/span/parent ids.
-  /// Spans left open export as "B" phase events. Deterministic: timestamps
-  /// are formatted from integer ticks, span ids follow emission order, and
-  /// tids follow first-appearance order.
-  std::string chrome_json() const;
+  /// Spans left open export as "B" phase events, except the root spans of
+  /// requests still in flight at `now`, named by `in_flight` (each request's
+  /// {trace id, root span}): those export as complete spans cut at `now`
+  /// and marked `"in_flight":true`. The tracer itself is not changed, so a
+  /// run can continue after an export. Deterministic: timestamps are
+  /// formatted from integer ticks, span ids follow emission order, and tids
+  /// follow first-appearance order.
+  std::string chrome_json(std::span<const TraceCtx> in_flight = {},
+                          sim::Tick now = 0) const;
 
  private:
   struct OpenSpan {

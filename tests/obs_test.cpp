@@ -224,6 +224,38 @@ TEST(Tracer, OpenSpanExportsBPhaseWhichValidatorRejects) {
   EXPECT_NE(problems[0].find("unpaired begin-span"), std::string::npos);
 }
 
+TEST(Tracer, InFlightRootExportsCutAtNowWhileOtherOpenSpansStayOpen) {
+  Tracer t;
+  TraceCtx root_ctx{0x500000003ULL, 0};
+  SpanId root = t.span_begin("client0", "request", sim::us(1), "seq=3",
+                             root_ctx);
+  t.span_begin("proc0", "drr_wait", sim::us(2));  // a leak, not in flight
+  TraceCtx in_flight[] = {{0x500000003ULL, root}};
+
+  Json doc = Json::parse(t.chrome_json(in_flight, sim::us(9)));
+  std::vector<std::string> problems = validate_trace_json(doc);
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_NE(problems[0].find("\"drr_wait\""), std::string::npos);
+  bool saw_root = false;
+  for (const Json& e : doc.find("traceEvents")->elements()) {
+    if (e.find("name")->as_string() != "request") continue;
+    saw_root = true;
+    EXPECT_EQ(e.find("ph")->as_string(), "X");
+    EXPECT_EQ(e.find("dur")->as_double(), 8.0);  // cut at `now`, in µs
+    EXPECT_TRUE(e.find("args")->find("in_flight")->as_bool());
+  }
+  EXPECT_TRUE(saw_root);
+
+  // A root is cut only when both its trace id and span id match.
+  TraceCtx other_trace[] = {{0x600000003ULL, root}};
+  EXPECT_EQ(validate_trace_json(Json::parse(t.chrome_json(other_trace,
+                                                          sim::us(9))))
+                .size(),
+            2u);
+  // Exporting changed nothing: both spans are still open.
+  EXPECT_EQ(t.open_spans(), 2u);
+}
+
 TEST(TraceValidator, RejectsSchemaDrift) {
   Tracer t;
   t.span("client", "request", sim::us(1), sim::us(5));
@@ -589,6 +621,43 @@ TEST(TraceE2E, ExportValidatesAndKeepsOneTraceIdAcrossClientAndServer) {
     crossed = crossed || (client && server);
   }
   EXPECT_TRUE(crossed);
+}
+
+TEST(TraceE2E, InFlightRequestsExportClosedAndLeakedSpansStillFail) {
+  // Every request is sampled and the run stops mid-flight, so the export
+  // sees open "request" roots: each is in a client's in-flight table and
+  // exports closed and marked, and the document validates.
+  core::TestbedConfig cfg = wire_traced_config();
+  cfg.trace_sample_every = 1;
+  core::HerdTestbed bed(cfg);
+  bed.run(sim::us(50), sim::us(100));
+  std::size_t open = bed.tracer().open_spans();
+  ASSERT_GT(open, 0u);
+
+  Json doc = Json::parse(bed.trace_json());
+  EXPECT_TRUE(validate_trace_json(doc).empty());
+  std::size_t marked = 0;
+  for (const Json& e : doc.find("traceEvents")->elements()) {
+    const Json* args = e.find("args");
+    if (args != nullptr && args->find("in_flight") != nullptr) {
+      EXPECT_EQ(e.find("name")->as_string(), "request");
+      ++marked;
+    }
+  }
+  EXPECT_EQ(marked, open);
+  EXPECT_EQ(bed.tracer().open_spans(), open);  // export mutated nothing
+
+  // A span that is not an in-flight request's root still exports as a
+  // lone "B" the schema check rejects.
+  bed.tracer().span_begin("proc0", "drr_wait", bed.cluster().engine().now());
+  std::vector<std::string> problems =
+      validate_trace_json(Json::parse(bed.trace_json()));
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_NE(problems[0].find("\"drr_wait\""), std::string::npos);
+
+  // The run continues after an export, and the requests retire normally.
+  bed.run(0, sim::us(100));
+  EXPECT_GT(bed.tail().count("ok"), 0u);
 }
 
 TEST(TraceE2E, TailStagesSumExactlyToEndToEndLatency) {
