@@ -126,7 +126,7 @@ struct Requester {
   std::unique_ptr<verbs::Cq> rcq;
   std::vector<std::unique_ptr<verbs::Qp>> qps;
   verbs::Mr mr{};
-  sim::Pcg32 rng{3, 5};  // picks a peer per verb when there are several
+  sim::Pcg32 rng;  // seeded per process; picks a peer when there are several
   std::unique_ptr<WindowPump> pump;
 };
 
