@@ -64,9 +64,9 @@ EmulatedKvTestbed::EmulatedKvTestbed(const EmulatedConfig& cfg)
   std::uint64_t client_mem =
       cfg.clients_per_host * client_arena + (16u << 10);
 
-  cluster_ = std::make_unique<cluster::Cluster>(
-      cfg.cluster, 1 + n_client_hosts, std::max(server_mem, client_mem),
-      cfg.seed);
+  std::vector<std::size_t> mem(1 + n_client_hosts, client_mem);
+  mem[0] = server_mem;
+  cluster_ = std::make_unique<cluster::Cluster>(cfg.cluster, mem, cfg.seed);
 
   auto& server = cluster_->host(0);
   auto& sctx = server.ctx();

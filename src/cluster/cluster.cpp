@@ -86,15 +86,20 @@ Host::Host(sim::Engine& engine, fabric::Fabric& fabric,
 
 Cluster::Cluster(const ClusterConfig& cfg, std::size_t n_hosts,
                  std::size_t mem_per_host, std::uint64_t seed)
+    : Cluster(cfg, std::vector<std::size_t>(n_hosts, mem_per_host), seed) {}
+
+Cluster::Cluster(const ClusterConfig& cfg,
+                 const std::vector<std::size_t>& mem_per_host,
+                 std::uint64_t seed)
     : cfg_(cfg), fabric_(engine_, cfg.fabric) {
   // Before any host attaches: fabric ports register their link directions
   // as they are created.
   fabric_.set_resource_registry(&resources_, "fabric");
-  hosts_.reserve(n_hosts);
-  for (std::size_t i = 0; i < n_hosts; ++i) {
+  hosts_.reserve(mem_per_host.size());
+  for (std::size_t i = 0; i < mem_per_host.size(); ++i) {
     hosts_.push_back(std::make_unique<Host>(
         engine_, fabric_, cfg_, cfg.name + "/host" + std::to_string(i),
-        mem_per_host, seed + i * 7919));
+        mem_per_host[i], seed + i * 7919));
     if (cfg_.contract_check) {
       hosts_.back()->ctx().enable_contract(
           verbs::ContractChecker::Mode::kCollect);

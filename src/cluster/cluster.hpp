@@ -137,6 +137,12 @@ class Host {
 /// A set of hosts attached to one switch, sharing an engine.
 class Cluster {
  public:
+  /// One host per entry of `mem_per_host`, host i with that many bytes of
+  /// DRAM: deployments size each host for its role.
+  Cluster(const ClusterConfig& cfg,
+          const std::vector<std::size_t>& mem_per_host,
+          std::uint64_t seed = 42);
+  /// `n_hosts` hosts of `mem_per_host` bytes each.
   Cluster(const ClusterConfig& cfg, std::size_t n_hosts,
           std::size_t mem_per_host, std::uint64_t seed = 42);
 

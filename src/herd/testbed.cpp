@@ -99,18 +99,19 @@ HerdTestbed::HerdTestbed(const TestbedConfig& cfg) : cfg_(cfg) {
     host_seed ^= cfg_.seed;
   }
 
-  std::uint64_t server_mem = HerdService::required_memory(h);
-  std::uint64_t client_mem =
-      std::uint64_t{cfg_.clients_per_host} * HerdClient::arena_bytes(h) +
-      (16u << 10);
-  // Build all hosts with the larger size for simplicity.
-  std::uint64_t mem = std::max(server_mem, client_mem);
+  // Host 0 holds the server's regions; each client host holds its
+  // clients' arenas side by side.
+  std::vector<std::size_t> mem(
+      1 + n_client_hosts,
+      std::size_t{cfg_.clients_per_host} * HerdClient::arena_bytes(h) +
+          (16u << 10));
+  mem[0] = HerdService::required_memory(h);
 
   // The cluster attaches checkers at host construction, before any QP/MR
   // exists, so every registration and post is seen.
   cfg_.cluster.contract_check = cfg_.contract_check;
-  cluster_ = std::make_unique<cluster::Cluster>(
-      cfg_.cluster, 1 + n_client_hosts, mem, host_seed);
+  cluster_ =
+      std::make_unique<cluster::Cluster>(cfg_.cluster, mem, host_seed);
   service_ = std::make_unique<HerdService>(cluster_->host(0), h,
                                            cfg_.cluster.cpu);
   service_->set_observer(cfg_.observer);

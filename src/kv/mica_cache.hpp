@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "kv/keyhash.hpp"
+#include "sim/zeroed_bytes.hpp"
 
 namespace herd::kv {
 
@@ -95,7 +96,7 @@ class MicaCache {
 
   Config cfg_;
   std::vector<Bucket> buckets_;
-  std::vector<std::byte> log_;
+  sim::ZeroedBytes log_;  // zero-filled as the head first reaches a page
   std::uint64_t log_head_ = 0;  // monotonic; head % size = write position
   Stats stats_;
   std::uint64_t rng_state_;

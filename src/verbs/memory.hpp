@@ -11,11 +11,17 @@
 #include <span>
 #include <vector>
 
+#include "sim/zeroed_bytes.hpp"
+
 namespace herd::verbs {
 
 class HostMemory {
  public:
+  /// `bytes` of DRAM reading all-zero; pages become resident as they are
+  /// first touched.
   explicit HostMemory(std::size_t bytes) : data_(bytes) {}
+  HostMemory(const HostMemory&) = delete;
+  HostMemory& operator=(const HostMemory&) = delete;
 
   std::size_t size() const { return data_.size(); }
 
@@ -41,7 +47,7 @@ class HostMemory {
     int handle;
   };
 
-  std::vector<std::byte> data_;
+  sim::ZeroedBytes data_;
   std::vector<Watch> watches_;
   int next_watch_ = 1;
 };

@@ -2,6 +2,8 @@
 // region -> MICA -> UD SEND -> client) on the simulated cluster.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "herd/testbed.hpp"
 
 namespace herd::core {
@@ -153,6 +155,51 @@ TEST(HerdService, ThrowsOnTooLittleMemory) {
   cluster::Cluster cl(cluster::ClusterConfig::apt(), 1, 4096);
   cluster::CpuModel cpu;
   EXPECT_THROW(HerdService(cl.host(0), cfg, cpu), std::invalid_argument);
+}
+
+TEST(HerdTestbed, HostsAreSizedByRole) {
+  // Host 0 holds exactly the server's regions, each client host exactly its
+  // clients' arenas plus 16 KiB. Two shapes: one where the server is the
+  // larger host, one where a client host is.
+  TestbedConfig server_big = small_config();
+  TestbedConfig client_big = small_config();
+  client_big.herd.n_server_procs = 1;
+  client_big.herd.n_clients = 8;
+  client_big.herd.window = 1;
+  client_big.clients_per_host = 8;
+  for (const TestbedConfig& cfg : {server_big, client_big}) {
+    HerdTestbed bed(cfg);
+    cluster::Cluster& cl = bed.cluster();
+    std::uint64_t server_mem = HerdService::required_memory(cfg.herd);
+    std::uint64_t client_mem =
+        std::uint64_t{cfg.clients_per_host} *
+            HerdClient::arena_bytes(cfg.herd) +
+        (16u << 10);
+    ASSERT_NE(server_mem, client_mem);
+    EXPECT_EQ(cl.host(0).memory().size(), server_mem);
+    ASSERT_GE(cl.size(), 2u);
+    for (std::size_t i = 1; i < cl.size(); ++i) {
+      EXPECT_EQ(cl.host(i).memory().size(), client_mem) << "host " << i;
+    }
+  }
+  EXPECT_GT(HerdService::required_memory(server_big.herd),
+            std::uint64_t{server_big.clients_per_host} *
+                HerdClient::arena_bytes(server_big.herd));
+  EXPECT_LT(HerdService::required_memory(client_big.herd),
+            std::uint64_t{client_big.clients_per_host} *
+                HerdClient::arena_bytes(client_big.herd));
+}
+
+TEST(HerdTestbed, ClientDmaPastTheArenasThrows) {
+  TestbedConfig cfg = small_config();
+  HerdTestbed bed(cfg);
+  verbs::HostMemory& mem = bed.cluster().host(1).memory();
+  std::uint64_t end = std::uint64_t{cfg.clients_per_host} *
+                          HerdClient::arena_bytes(cfg.herd) +
+                      (16u << 10);
+  std::array<std::byte, 1> one{std::byte{1}};
+  EXPECT_NO_THROW(mem.dma_apply(end - 1, one));
+  EXPECT_THROW(mem.dma_apply(end, one), std::out_of_range);
 }
 
 TEST(HerdEndToEnd, ThroughputScalesWithClients) {

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "kv/mica_cache.hpp"
@@ -175,6 +176,43 @@ TEST(MicaCache, NeverReturnsWrongBytes) {
     }
   }
   EXPECT_GT(c.stats().get_hits, 0u);
+}
+
+TEST(MicaCache, CopyAnswersLikeItsSourceAndDivergesIndependently) {
+  // Replica snapshots copy a cache wholesale: the copy owns its own log.
+  MicaCache::Config cfg = tiny();
+  cfg.log_bytes = 64 << 10;  // small enough that the log wraps
+  MicaCache src(cfg);
+  for (std::uint64_t r = 0; r < 3000; ++r) {
+    src.put(hash_of_rank(r),
+            value_of(r, static_cast<std::uint32_t>(8 + r % 57)));
+  }
+  ASSERT_GT(src.stats().log_wraps, 0u);
+  MicaCache copy(src);
+  ASSERT_EQ(copy.log_capacity(), src.log_capacity());
+
+  auto answers = [](MicaCache& c, std::uint64_t r) {
+    std::vector<std::byte> out(MicaCache::kMaxValue);
+    auto g = c.get(hash_of_rank(r), out);
+    out.resize(g.found ? g.value_len : 0);
+    return std::pair{g.found, out};
+  };
+  std::vector<std::pair<bool, std::vector<std::byte>>> before;
+  std::uint64_t hits = 0;
+  for (std::uint64_t r = 0; r < 3000; ++r) {
+    before.push_back(answers(src, r));
+    EXPECT_EQ(answers(copy, r), before.back()) << "rank " << r;
+    hits += before.back().first ? 1 : 0;
+  }
+  EXPECT_GT(hits, 100u);
+
+  // Overwrite keys in the copy and add new ones: the source is untouched.
+  for (std::uint64_t r = 0; r < 4000; r += 3) {
+    copy.put(hash_of_rank(r), value_of(r + 77777, 40));
+  }
+  for (std::uint64_t r = 0; r < 3000; ++r) {
+    EXPECT_EQ(answers(src, r), before[r]) << "rank " << r;
+  }
 }
 
 class MicaValueSizeTest : public ::testing::TestWithParam<std::uint32_t> {};
