@@ -43,6 +43,9 @@ class SequentialCore {
   sim::Tick charge(sim::Tick cost) { return res_.acquire(cost); }
 
   const std::string& name() const { return res_.name(); }
+  /// The FIFO server behind the core, for the flight recorder's resource
+  /// directory (obs::ResourceRegistry::add).
+  sim::Resource& resource() { return res_; }
   sim::Tick busy_until() const { return res_.next_free(); }
   sim::Tick busy_time() const { return res_.busy_time(); }
   double utilization() const { return res_.utilization(); }

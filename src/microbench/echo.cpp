@@ -225,7 +225,7 @@ void Deployment::build(const cluster::ClusterConfig& cfg) {
   procs.resize(opts.n_server_procs);
   for (std::uint32_t s = 0; s < opts.n_server_procs; ++s) {
     Proc& p = procs[s];
-    p.core = std::make_unique<cluster::SequentialCore>(cl->engine(), "p");
+    p.core = make_core(*cl, "core.host0.proc" + std::to_string(s));
     p.scq = server.ctx().create_cq();
     p.rcq = server.ctx().create_cq();
     drain_on_notify(*p.scq);
@@ -240,7 +240,8 @@ void Deployment::build(const cluster::ClusterConfig& cfg) {
     cc->id = c;
     cc->proc = c % opts.n_server_procs;
     cc->host = &cl->host(1 + c / 3);
-    cc->core = std::make_unique<cluster::SequentialCore>(cl->engine(), "c");
+    cc->core = make_core(*cl, "core.host" + std::to_string(1 + c / 3) +
+                                  ".client" + std::to_string(c));
     cc->scq = cc->host->ctx().create_cq();
     cc->rcq = cc->host->ctx().create_cq();
     drain_on_notify(*cc->scq);

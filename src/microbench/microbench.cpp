@@ -25,6 +25,13 @@ Microbench::Microbench(std::string name, std::string unit) {
   g_next_pump = 0;  // identical runs hand out identical trace-id salts
 }
 
+std::unique_ptr<cluster::SequentialCore> make_core(cluster::Cluster& cl,
+                                                   const std::string& name) {
+  auto core = std::make_unique<cluster::SequentialCore>(cl.engine(), name);
+  cl.resources().add(name, core->resource());
+  return core;
+}
+
 double Microbench::publish(double value) {
   record_.value = value;
   g_last = record_;

@@ -13,10 +13,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "cluster/core.hpp"
 #include "obs/flight.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -93,6 +95,13 @@ class Microbench {
  private:
   RunRecord record_;
 };
+
+/// A driver process's core, registered in the cluster's resource directory
+/// under `name` ("core.host<h>.client<i>", "core.host0.proc<s>"), so
+/// attribution can name it (class "core.client" / "core.proc") when it
+/// bounds the rate.
+std::unique_ptr<cluster::SequentialCore> make_core(cluster::Cluster& cl,
+                                                   const std::string& name);
 
 /// Record of the most recent published run in this process. The drivers
 /// (inbound_tput, echo_tput, ...) keep their plain-double signatures;

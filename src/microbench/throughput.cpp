@@ -190,8 +190,10 @@ double run_inbound(const char* name, const cluster::ClusterConfig& cfg,
   std::vector<Requester> reqs(shape.procs);
   for (std::uint32_t i = 0; i < shape.procs; ++i) {
     Requester& r = reqs[i];
-    auto& host = cl.host(1 + i % shape.machines);
-    r.core = std::make_unique<cluster::SequentialCore>(cl.engine(), "c");
+    const std::uint32_t h = 1 + i % shape.machines;
+    auto& host = cl.host(h);
+    r.core = make_core(cl, "core.host" + std::to_string(h) + ".client" +
+                               std::to_string(i));
     r.scq = host.ctx().create_cq();
     r.rcq = host.ctx().create_cq();
     r.mr = host.ctx().register_mr(0, 8192, {});
@@ -280,7 +282,7 @@ double run_outbound(const char* name, const cluster::ClusterConfig& cfg,
   std::vector<Requester> procs(n);
   for (std::uint32_t s = 0; s < n; ++s) {
     Requester& r = procs[s];
-    r.core = std::make_unique<cluster::SequentialCore>(cl.engine(), "p");
+    r.core = make_core(cl, "core.host0.proc" + std::to_string(s));
     r.scq = server.ctx().create_cq();
     r.rcq = server.ctx().create_cq();
     r.mr = server.ctx().register_mr(std::uint64_t{s} * 8192, 8192, {});

@@ -33,18 +33,18 @@ void ResourceRegistry::begin_window() const {
 // --- Attribution ------------------------------------------------------------
 
 std::string resource_class(const std::string& name) {
-  // Drop any dotted component of the form "host<digits>".
+  // Drop any dotted component of the form "host<digits>"; cut the index off
+  // any other "<role><digits>" component.
   std::string out;
   std::size_t start = 0;
   while (start <= name.size()) {
     std::size_t dot = name.find('.', start);
     std::size_t end = dot == std::string::npos ? name.size() : dot;
     std::string_view comp(name.data() + start, end - start);
-    bool positional = comp.size() > 4 && comp.substr(0, 4) == "host";
-    for (std::size_t i = 4; positional && i < comp.size(); ++i) {
-      if (comp[i] < '0' || comp[i] > '9') positional = false;
-    }
-    if (!positional) {
+    std::size_t role = comp.find_last_not_of("0123456789") + 1;
+    bool indexed = role > 0 && role < comp.size();  // not all digits
+    if (indexed) comp = comp.substr(0, role);
+    if (!indexed || comp != "host") {
       if (!out.empty()) out += '.';
       out.append(comp);
     }

@@ -73,7 +73,9 @@ class ResourceRegistry {
 };
 
 /// "pcie.host0.pio" -> "pcie.pio": strips positional "host<i>" components
-/// so per-instance resources aggregate into the paper's resource classes.
+/// and the index of any other "<role><i>" component ("core.host1.client7"
+/// -> "core.client"), so per-instance resources aggregate into the paper's
+/// resource classes.
 std::string resource_class(const std::string& name);
 
 /// One resource class in a latency/utilization breakdown.

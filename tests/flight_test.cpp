@@ -85,6 +85,13 @@ TEST(ResourceClass, StripsHostComponents) {
   EXPECT_EQ(obs::resource_class("hostname.thing"), "hostname.thing");
 }
 
+TEST(ResourceClass, FoldsPerRoleIndices) {
+  EXPECT_EQ(obs::resource_class("core.host1.client7"), "core.client");
+  EXPECT_EQ(obs::resource_class("core.host0.proc12"), "core.proc");
+  EXPECT_EQ(obs::resource_class("core.host"), "core.host");  // no index
+  EXPECT_EQ(obs::resource_class("x.42.y"), "x.42.y");  // all digits: kept
+}
+
 TEST(Attribute, NamesMaxUtilizationClassAndSkipsIdle) {
   sim::Engine eng;
   sim::Resource busy0(eng, "pcie.host0.pio");

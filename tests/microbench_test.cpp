@@ -211,6 +211,18 @@ TEST(AllToAll, InboundScalesOutboundCollapses) {
   EXPECT_NEAR(out16 / 35.0, 0.21, 0.08);  // "degrades to 21% of the maximum"
 }
 
+TEST(AllToAll, OnePostingCoreIsNamedAsTheBottleneck) {
+  // Fig. 6's In_WRITE_UC N=1 point: one client process posts chained
+  // inline WRITEs, so its core, not a NIC stage, bounds the rate.
+  TputSpec wr{verbs::Opcode::kWrite, verbs::Transport::kUc, true, 32, 32, 4};
+  double mops = all_to_all_inbound(kApt, wr, 1, sim::us(250));
+  EXPECT_LT(mops, 20.0);
+  const obs::Attribution& attr = last_run().attr;
+  EXPECT_EQ(attr.bottleneck, "core.client");
+  EXPECT_EQ(attr.bottleneck_resource, "core.host1.client0");
+  EXPECT_GT(attr.bottleneck_utilization, 0.95);
+}
+
 TEST(AllToAll, UdOutboundScales) {
   TputSpec ud{verbs::Opcode::kSend, verbs::Transport::kUd, true, 32, 32, 4};
   double out4 = all_to_all_outbound(kApt, ud, 4);
