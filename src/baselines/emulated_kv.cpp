@@ -13,6 +13,12 @@ constexpr std::uint32_t kReadStride = 4096;       // READ landing buffers
 constexpr std::uint32_t kAckStride = 64;          // FaRM PUT completions
 constexpr std::uint32_t kReplyStride = 64;        // Pilaf PUT replies
 constexpr sim::Tick kComposeCost = sim::ns(20);
+constexpr std::uint32_t kClientsPerHost = 3;
+constexpr std::uint32_t kKeySize = 16;     // SK
+constexpr std::uint32_t kPointerSize = 8;  // SP (FaRM-em-VAR)
+/// Pilaf: expected bucket READs per GET ("1.6 average probes", §5.1.1).
+constexpr double kPilafAvgProbes = 1.6;
+constexpr std::uint64_t kSeed = 9;
 }  // namespace
 
 const char* system_name(System s) {
@@ -29,9 +35,9 @@ const char* system_name(System s) {
 
 std::uint32_t EmulatedKvTestbed::farm_read_bytes() const {
   // FaRM-em: 6*(SK+SV); FaRM-em-VAR: 6*(SK+SP) (§5.1.2).
-  std::uint32_t per = cfg_.key_size + (cfg_.system == System::kFarmEm
-                                           ? cfg_.value_size
-                                           : cfg_.pointer_size);
+  std::uint32_t per =
+      kKeySize +
+      (cfg_.system == System::kFarmEm ? cfg_.value_size : kPointerSize);
   return 6 * per;
 }
 
@@ -44,8 +50,7 @@ std::uint64_t EmulatedKvTestbed::random_table_offset(Client& c,
 EmulatedKvTestbed::EmulatedKvTestbed(const EmulatedConfig& cfg)
     : cfg_(cfg), cpu_(cfg.cluster.cpu) {
   std::uint32_t n_client_hosts =
-      std::max(1u, (cfg.n_clients + cfg.clients_per_host - 1) /
-                       cfg.clients_per_host);
+      std::max(1u, (cfg.n_clients + kClientsPerHost - 1) / kClientsPerHost);
 
   // Server memory: READ area + per-client PUT slots + staging.
   std::uint64_t put_region =
@@ -62,11 +67,11 @@ EmulatedKvTestbed::EmulatedKvTestbed(const EmulatedConfig& cfg)
                                    kReplyStride) +
       (4u << 10);
   std::uint64_t client_mem =
-      cfg.clients_per_host * client_arena + (16u << 10);
+      kClientsPerHost * client_arena + (16u << 10);
 
   std::vector<std::size_t> mem(1 + n_client_hosts, client_mem);
   mem[0] = server_mem;
-  cluster_ = std::make_unique<cluster::Cluster>(cfg.cluster, mem, cfg.seed);
+  cluster_ = std::make_unique<cluster::Cluster>(cfg.cluster, mem, kSeed);
 
   auto& server = cluster_->host(0);
   auto& sctx = server.ctx();
@@ -97,15 +102,15 @@ EmulatedKvTestbed::EmulatedKvTestbed(const EmulatedConfig& cfg)
   for (std::uint32_t i = 0; i < cfg.n_clients; ++i) {
     auto c = std::make_unique<Client>();
     c->id = i;
-    c->host = &cluster_->host(1 + i / cfg.clients_per_host);
+    c->host = &cluster_->host(1 + i / kClientsPerHost);
     c->proc = i % cfg.n_server_procs;
     c->core = std::make_unique<cluster::SequentialCore>(
         cluster_->engine(),
         c->host->name() + "/client" + std::to_string(i));
     c->send_cq = c->host->ctx().create_cq();
     c->recv_cq = c->host->ctx().create_cq();
-    c->rng = sim::Pcg32(cfg.seed + i * 131, 77);
-    c->arena = (i % cfg.clients_per_host) * client_arena;
+    c->rng = sim::Pcg32(kSeed + i * 131, 77);
+    c->arena = (i % kClientsPerHost) * client_arena;
     c->arena_mr = c->host->ctx().register_mr(c->arena, client_arena,
                                              {.remote_write = true});
 
@@ -294,7 +299,7 @@ void EmulatedKvTestbed::client_issue(Client& c) {
   }
 
   ++c.puts;
-  std::uint32_t msg = cfg_.key_size + cfg_.value_size;
+  std::uint32_t msg = kKeySize + cfg_.value_size;
   if (cfg_.system == System::kPilafEmOpt) {
     c.core->run(
         cpu_.post_recv + kComposeCost + cpu_.post_send, [this, &c, id, msg]() {
@@ -397,8 +402,7 @@ void EmulatedKvTestbed::client_on_cq(Client& c) {
             // "1.6 average probes": issue the second bucket READ with
             // probability avg_probes - 1, sequentially (§5.1.1: issuing
             // both concurrently costs throughput).
-            bool second = c.rng.next_double() <
-                          (cfg_.pilaf_avg_probes - 1.0);
+            bool second = c.rng.next_double() < (kPilafAvgProbes - 1.0);
             op.stage = second ? 1 : 2;
           } else if (op.stage == 1) {
             op.stage = 2;

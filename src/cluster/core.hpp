@@ -47,7 +47,6 @@ class SequentialCore {
   /// directory (obs::ResourceRegistry::add).
   sim::Resource& resource() { return res_; }
   sim::Tick busy_until() const { return res_.next_free(); }
-  sim::Tick busy_time() const { return res_.busy_time(); }
   double utilization() const { return res_.utilization(); }
   void reset_stats() { res_.reset_stats(); }
 

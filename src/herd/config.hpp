@@ -76,18 +76,9 @@ struct HerdConfig {
   /// values (144 bytes on Apt, 192 on Susitna), HERD switches to using
   /// non-inlined SENDs", §5.3).
   std::uint32_t inline_threshold = 144;
-  /// Masking DRAM latency with the two-stage request pipeline (§4.1.1).
-  bool prefetch = true;
   RequestMode mode = RequestMode::kWriteUc;
   /// Per-process MICA cache sizing (scaled-down defaults; see DESIGN.md).
   kv::MicaCache::Config mica{};
-  /// "if a server fails for 100 iterations consecutively, it pushes a no-op"
-  std::uint32_t noop_timeout_polls = 100;
-  /// Idle-poll quantization: detection delay for a request landing while the
-  /// server is idle is uniform in [0, poll_scan_slots * poll_iteration].
-  std::uint32_t poll_scan_slots = 64;
-  /// Per-process response staging ring (reuse horizon for non-inlined SENDs).
-  std::uint32_t response_ring = 64;
   /// Carry a 4-byte correlation token in requests and responses. Required
   /// for correct response matching when application-level retries are in
   /// play (lossy fabric); off by default — it costs 4 bytes of inline-PIO
@@ -122,18 +113,6 @@ struct HerdConfig {
   /// ring is what makes post-promotion retries exactly-once) and at least
   /// two server processes. Adds a 4-byte epoch header to every request.
   bool replicate = false;
-  /// One-way latency of the primary <-> backup forwarding hop. The server
-  /// processes share a machine (the paper's NS-processes-one-box layout),
-  /// so this is a cross-core shared-memory ring, not a fabric round trip.
-  sim::Tick repl_forward_delay = sim::us(1);
-  /// Failure-detector grace: how long after a primary's crash its backup
-  /// waits before promoting itself (models lease expiry — promoting
-  /// instantly would split-brain against a primary that was merely slow).
-  sim::Tick promotion_delay = sim::us(100);
-  /// Re-replication: how long a recovered process streams a shard from its
-  /// current primary before rejoining as backup (snapshot + delta catch-up,
-  /// modeled as an atomic state copy at stream end).
-  sim::Tick rejoin_stream_time = sim::us(400);
   /// Live migration: length of the dual-write handoff window. The
   /// destination takes a snapshot at migration start; mutations during the
   /// window are forwarded to it as well; at the end the epoch bumps and the

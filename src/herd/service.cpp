@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -15,6 +14,26 @@ namespace herd::core {
 namespace {
 constexpr std::uint32_t kRespStride = 1024;  // status+LEN+value, padded
 constexpr std::uint32_t kRecvStride = kSlotBytes + verbs::kGrhBytes;
+/// Per-process response staging ring (reuse horizon for non-inlined SENDs).
+constexpr std::uint32_t kResponseRing = 64;
+/// "if a server fails for 100 iterations consecutively, it pushes a no-op"
+/// (§4.1.1).
+constexpr std::uint32_t kNoopTimeoutPolls = 100;
+/// Idle-poll quantization: detection delay for a request landing while the
+/// server is idle is uniform in [0, kPollScanSlots * poll_iteration].
+constexpr std::uint32_t kPollScanSlots = 64;
+/// One-way latency of the primary <-> backup forwarding hop. The server
+/// processes share a machine (the paper's NS-processes-one-box layout), so
+/// this is a cross-core shared-memory ring, not a fabric round trip.
+constexpr sim::Tick kReplForwardDelay = sim::us(1);
+/// Failure-detector grace: how long after a primary's crash its backup
+/// waits before promoting itself (models lease expiry — promoting instantly
+/// would split-brain against a primary that was merely slow).
+constexpr sim::Tick kPromotionDelay = sim::us(100);
+/// Re-replication: how long a recovered process streams a shard from its
+/// current primary before rejoining as backup (snapshot + delta catch-up,
+/// modeled as an atomic state copy at stream end).
+constexpr sim::Tick kRejoinStreamTime = sim::us(400);
 /// Sentinel slot/recv address: this Pending was already re-armed (it went
 /// through the parked queue); serving it again must not clear the slot or
 /// double-post a RECV credit.
@@ -31,10 +50,6 @@ HerdService::HerdService(cluster::Host& host, const HerdConfig& cfg,
     : host_(&host),
       cfg_(cfg),
       cpu_(cpu),
-      // One UD QP per server process, QP s pinned to core s. Built once and
-      // asserted against in the hot paths instead of re-derived ad hoc.
-      affinity_(cluster::CoreAffinityMap::round_robin(cfg.n_server_procs,
-                                                      cfg.n_server_procs)),
       region_(/*base=*/0, cfg.n_server_procs, cfg.n_clients, cfg.window),
       shard_map_(cfg.n_server_procs, cfg.replicate),
       client_ah_(cfg.n_clients, std::vector<verbs::Ah>(cfg.n_server_procs)),
@@ -65,7 +80,7 @@ HerdService::HerdService(cluster::Host& host, const HerdConfig& cfg,
   // Scratch: response staging rings, and recv buffers in SEND mode.
   std::uint64_t scratch_base = cursor;
   std::uint64_t per_proc_resp =
-      std::uint64_t{cfg.response_ring} * kRespStride;
+      std::uint64_t{kResponseRing} * kRespStride;
   std::uint64_t per_proc_recv =
       cfg.mode == RequestMode::kSendUd
           ? std::uint64_t{cfg.n_clients} * cfg.window * kRecvStride
@@ -183,7 +198,7 @@ std::uint64_t HerdService::required_memory(const HerdConfig& cfg) {
   std::uint64_t region = std::uint64_t{cfg.n_server_procs} * cfg.n_clients *
                          cfg.window * kSlotBytes;
   std::uint64_t resp =
-      std::uint64_t{cfg.n_server_procs} * cfg.response_ring * kRespStride;
+      std::uint64_t{cfg.n_server_procs} * kResponseRing * kRespStride;
   std::uint64_t recv = cfg.mode == RequestMode::kSendUd
                            ? std::uint64_t{cfg.n_server_procs} *
                                  cfg.n_clients * cfg.window * kRecvStride
@@ -244,10 +259,10 @@ void HerdService::crash_proc(std::uint32_t s) {
     }
     if (si.primary == s && si.backup != kNoBackup &&
         procs_[si.backup]->alive) {
-      // The failure detector needs promotion_delay to be sure (lease
+      // The failure detector needs kPromotionDelay to be sure (lease
       // expiry); promote_shard re-checks the world when it fires.
       engine.schedule_after(
-          cfg_.promotion_delay,
+          kPromotionDelay,
           [this, sh, ep = si.epoch]() { promote_shard(sh, ep); });
     }
     if (migrations_[sh].active && migrations_[sh].dest == s) {
@@ -332,7 +347,7 @@ void HerdService::recover_proc(std::uint32_t s) {
       // The copy lands atomically at stream end (snapshot + delta
       // catch-up); finish_rejoin re-checks the world when it fires.
       engine.schedule_after(
-          cfg_.rejoin_stream_time,
+          kRejoinStreamTime,
           [this, s, sh, pe = p.epoch]() { finish_rejoin(s, sh, pe); });
     }
   }
@@ -458,10 +473,6 @@ void HerdService::drain_parked(std::uint32_t s) {
   if (admitted) schedule_advance(s, 0);
 }
 
-bool HerdService::proc_alive(std::uint32_t s) const {
-  return procs_.at(s)->alive;
-}
-
 const HerdService::ProcStats& HerdService::proc_stats(std::uint32_t s) const {
   return procs_.at(s)->stats;
 }
@@ -485,11 +496,6 @@ bool HerdService::any_cache_lossy() const {
 }
 cluster::SequentialCore& HerdService::proc_core(std::uint32_t s) {
   return *procs_.at(s)->core;
-}
-std::uint64_t HerdService::total_requests() const {
-  std::uint64_t n = 0;
-  for (const auto& p : procs_) n += p->stats.requests;
-  return n;
 }
 void HerdService::reset_stats() {
   for (auto& p : procs_) {
@@ -533,7 +539,7 @@ void HerdService::on_region_write(std::uint32_t s, std::uint64_t addr) {
   // to a partial scan of the chunk.
   sim::Tick jitter = 0;
   if (p.core->busy_until() <= host_->ctx().engine().now()) {
-    sim::Tick scan = cfg_.poll_scan_slots * cpu_.poll_iteration;
+    sim::Tick scan = kPollScanSlots * cpu_.poll_iteration;
     jitter = poll_jitter_rng_.next_u64() % (scan + 1);
   }
   schedule_advance(s, jitter);
@@ -606,7 +612,6 @@ void HerdService::shed(std::uint32_t s, const Pending& p,
 
 void HerdService::on_recv_ready(std::uint32_t s) {
   Proc& p = *procs_[s];
-  assert(affinity_.owns(s, s) && "EREW: proc s drains only its own QP's CQ");
   // Batched CQ reaping: drain the whole backlog with wide polls (one
   // cq_poll's worth of CQEs per call instead of one), admit everything,
   // then kick the pipeline once for the batch.
@@ -679,7 +684,7 @@ void HerdService::arm_noop_timer(std::uint32_t s) {
   Proc& p = *procs_[s];
   if (p.pipeline.empty()) return;
   std::uint64_t gen = p.advance_gen;
-  sim::Tick timeout = cfg_.noop_timeout_polls * cpu_.poll_iteration;
+  sim::Tick timeout = kNoopTimeoutPolls * cpu_.poll_iteration;
   host_->ctx().engine().schedule_after(timeout, [this, s, gen]() {
     Proc& pp = *procs_[s];
     if (pp.advance_gen != gen || pp.pipeline.empty() || !pp.alive) return;
@@ -737,9 +742,8 @@ void HerdService::advance(std::uint32_t s) {
     p.pipeline.pop_front();
   }
 
-  sim::Tick access_cost =
-      cfg_.prefetch ? (cpu_.dram_access_prefetched + cpu_.prefetch_issue)
-                    : cpu_.dram_access;
+  // Stage 2 finds every line prefetched (§4.1.1).
+  sim::Tick access_cost = cpu_.dram_access_prefetched + cpu_.prefetch_issue;
   for (const Pending& d : done) {
     std::uint32_t accesses = d.request.is_put || d.request.is_delete ? 1 : 2;
     cost += accesses * access_cost;
@@ -1014,7 +1018,7 @@ void HerdService::serve(std::uint32_t s, std::uint32_t shard, Replica& rep,
 
 void HerdService::forward_mutation(Fwd f) {
   host_->ctx().engine().schedule_after(
-      cfg_.repl_forward_delay,
+      kReplForwardDelay,
       [this, f = std::move(f)]() { deliver_forward(f); });
 }
 
@@ -1080,7 +1084,7 @@ void HerdService::deliver_forward(const Fwd& f) {
     return;
   }
   engine.schedule_after(
-      cfg_.repl_forward_delay,
+      kReplForwardDelay,
       [this, from = f.from, client = f.client, status = f.status,
        token = f.token, trace_id = f.trace_id, parent = f.parent_span,
        applied = engine.now()]() {
@@ -1114,7 +1118,7 @@ void HerdService::post_response(std::uint32_t s, std::uint32_t client,
     return;
   }
   std::uint64_t addr =
-      p.resp_base + (p.resp_slot++ % cfg_.response_ring) * kRespStride;
+      p.resp_base + (p.resp_slot++ % kResponseRing) * kRespStride;
   auto buf = host_->memory().span(addr, kRespStride);
   std::uint32_t len =
       encode_response(buf, status, value, cfg_.request_tokens, token);
@@ -1131,7 +1135,7 @@ void HerdService::post_response(std::uint32_t s, std::uint32_t client,
   if (p.resp_coalesce) {
     // Inside a scheduling quantum: accumulate; the burst-ending
     // flush_responses() posts the accumulated WRs as one chain. The
-    // staging ring (response_ring slots) is far deeper than the chain cap,
+    // staging ring (kResponseRing slots) is far deeper than the chain cap,
     // so slots stay live until the chained post captures/DMAs them.
     p.resp_chain.push_back(wr);
     p.resp_chain_meta.push_back(
@@ -1144,7 +1148,6 @@ void HerdService::post_response(std::uint32_t s, std::uint32_t client,
 void HerdService::flush_responses(std::uint32_t s) {
   Proc& p = *procs_[s];
   if (p.resp_chain.empty()) return;
-  assert(affinity_.owns(s, s) && "EREW: proc s posts only on its own QP");
   ++p.stats.resp_chains;
   p.stats.resp_chained += p.resp_chain.size();
   // The per-WR WQE builds were charged by the quanta that produced the

@@ -75,11 +75,6 @@ class HerdService {
   /// their copies from kWrongEpoch redirects.
   const ShardMap& shards() const { return shard_map_; }
 
-  /// Core-to-QP ownership, pinned at construction: server process `s` runs
-  /// on core `s` and owns exactly UD QP `s` (EREW — no QP is ever shared
-  /// between cores, the precondition for Fig. 13's linear scaling).
-  const cluster::CoreAffinityMap& affinity() const { return affinity_; }
-
   /// Host memory the service needs (request region + staging rings).
   static std::uint64_t required_memory(const HerdConfig& cfg);
 
@@ -95,8 +90,8 @@ class HerdService {
   /// the shard's only copy is shared memory too and survives the crash;
   /// survivors serve it while the owner is down. With replication on, the
   /// process's replicas die with it (they are process memory) and each
-  /// shard it was primary of is promoted onto its backup after
-  /// promotion_delay.
+  /// shard it was primary of is promoted onto its backup after a
+  /// failure-detector grace period.
   void crash_proc(std::uint32_t s);
 
   /// Restarts process `s` and rescans its request-region chunk for
@@ -107,8 +102,6 @@ class HerdService {
   /// retrying them — and rejoins by streaming each shard that lost
   /// redundancy back from its current primary (re-replication).
   void recover_proc(std::uint32_t s);
-
-  bool proc_alive(std::uint32_t s) const;
 
   // --- Live shard migration ------------------------------------------------
 
@@ -188,7 +181,6 @@ class HerdService {
   /// harness's "legitimate miss" escape hatch.
   bool any_cache_lossy() const;
   cluster::SequentialCore& proc_core(std::uint32_t s);
-  std::uint64_t total_requests() const;
   void reset_stats();
 
   /// History hook for the chaos harness (nullptr = no recording).
@@ -228,6 +220,8 @@ class HerdService {
     std::unique_ptr<cluster::SequentialCore> core;
     std::unique_ptr<verbs::Cq> send_cq;
     std::unique_ptr<verbs::Cq> recv_cq;
+    /// This process's own UD QP: no QP is shared between cores (EREW), the
+    /// precondition for Fig. 13's linear scaling.
     std::unique_ptr<verbs::Qp> ud_qp;
     std::vector<std::uint64_t> next_r;  // per-client poll counter
     /// Already-admitted work that bypasses the gate (recovery rescans,
@@ -338,7 +332,6 @@ class HerdService {
   cluster::Host* host_;
   HerdConfig cfg_;
   cluster::CpuModel cpu_;
-  cluster::CoreAffinityMap affinity_;
   RequestRegion region_;
   ShardMap shard_map_;
   verbs::Mr region_mr_{};

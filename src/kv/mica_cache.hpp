@@ -71,7 +71,6 @@ class MicaCache {
   /// to tell cache lossiness apart from lost writes.
   void reset_stats() { stats_ = Stats{}; }
   std::size_t log_capacity() const { return log_.size(); }
-  std::uint64_t log_head() const { return log_head_; }
 
   static constexpr std::uint32_t kMaxValue = 1024;  // HERD items are <= 1 KB
   static constexpr std::uint32_t kAssoc = 8;

@@ -54,7 +54,6 @@ class Json {
 
   Kind kind() const { return kind_; }
   bool is_null() const { return kind_ == Kind::kNull; }
-  bool is_bool() const { return kind_ == Kind::kBool; }
   bool is_number() const {
     return kind_ == Kind::kUint || kind_ == Kind::kInt ||
            kind_ == Kind::kDouble;

@@ -156,7 +156,6 @@ class ContractChecker {
 
   void record(ContractViolation v);
   CqAccount& account(const Cq& cq);
-  void reserve_cqe(const Qp& qp, const Cq& cq, std::uint64_t wr_id);
 
   static constexpr std::size_t kMaxRetained = 256;
 

@@ -101,8 +101,12 @@ TEST(FailureInjection, HerdRetriesRecoverLostRequests) {
   cfg.workload.n_keys = 1000;
   cfg.verify_values = true;
   core::HerdTestbed bed(cfg);
+  core::ClientResilience fixed;  // fixed 50 us retry interval, no jitter
+  fixed.retry_timeout = sim::us(50);
+  fixed.backoff_multiplier = 1.0;
+  fixed.jitter = 0.0;
   for (std::size_t c = 0; c < bed.num_clients(); ++c) {
-    bed.client(c).set_retry_timeout(sim::us(50));
+    bed.client(c).set_resilience(fixed);
   }
   auto r = bed.run(sim::ms(1), sim::ms(4));
   EXPECT_GT(r.ops, 1000u);
