@@ -1,6 +1,7 @@
 // Unit + property tests: MICA-style lossy index + circular log cache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -227,7 +228,10 @@ TEST_P(MicaValueSizeTest, RoundTripsEverySize) {
   ASSERT_TRUE(g.found);
   EXPECT_EQ(g.value_len, len);
   auto expect = value_of(len, len);
-  EXPECT_EQ(std::memcmp(out, expect.data(), len), 0);
+  ASSERT_EQ(expect.size(), len);
+  // std::equal, not memcmp: at len 0 expect.data() may be null, which
+  // memcmp's nonnull contract forbids even for a zero length.
+  EXPECT_TRUE(std::equal(expect.begin(), expect.end(), out));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, MicaValueSizeTest,
