@@ -28,7 +28,6 @@ void Ablation_ManyToOne(benchmark::State& state) {
   state.counters["Mops"] = mops;
   state.SetLabel(std::to_string(n_procs) + " client procs / 16 machines");
   bench::micro_point("WRITE_UC", n_procs, {{"Mops", mops}});
-  bench::snapshot_last_microbench();
 }
 
 }  // namespace

@@ -39,7 +39,7 @@ void Fig02_VerbLatency(benchmark::State& state) {
     bench::report().add_point("WRITE", payload, {{"us", r.write_us}}, {},
                               tail);
   }
-  bench::snapshot_last_microbench();
+  bench::fold_microbench();
 }
 
 }  // namespace

@@ -35,7 +35,6 @@ void Fig03_Inbound(benchmark::State& state) {
   state.counters["WRITE_UC_Mops"] = wuc;
   state.counters["WRITE_RC_Mops"] = wrc;
   state.counters["READ_RC_Mops"] = rrc;
-  bench::snapshot_last_microbench();
 }
 
 }  // namespace

@@ -48,7 +48,6 @@ void Fig04_Outbound(benchmark::State& state) {
   state.counters["SEND_UD_Mops"] = su;
   state.counters["WRITE_UC_Mops"] = wp;
   state.counters["READ_RC_Mops"] = rd;
-  bench::snapshot_last_microbench();
 }
 
 }  // namespace

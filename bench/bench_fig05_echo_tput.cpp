@@ -35,7 +35,6 @@ void Fig05_EchoThroughput(benchmark::State& state) {
   // One series per verb combination; x = optimization level 0..3.
   bench::micro_point(microbench::echo_kind_name(kind),
                      static_cast<double>(opts.opt_level), {{"Mops", mops}});
-  bench::snapshot_last_microbench();
 }
 
 }  // namespace

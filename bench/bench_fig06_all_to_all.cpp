@@ -32,7 +32,6 @@ void Fig06_AllToAll(benchmark::State& state) {
   state.counters["In_WRITE_UC_Mops"] = in_wr;
   state.counters["Out_WRITE_UC_Mops"] = out_wr;
   state.counters["Out_SEND_UD_Mops"] = out_ud;
-  bench::snapshot_last_microbench();
 }
 
 }  // namespace

@@ -35,7 +35,6 @@ void Fig07_Prefetch(benchmark::State& state) {
   std::string series = "N=" + std::to_string(state.range(0)) +
                        (opts.prefetch ? "/prefetch" : "/no-prefetch");
   bench::micro_point(series, opts.n_server_procs, {{"Mops", mops}});
-  bench::snapshot_last_microbench();
 }
 
 }  // namespace

@@ -38,7 +38,7 @@ void Table2_ClusterPreset(benchmark::State& state) {
        {"half_rtt_us", lat.echo_us / 2.0},
        {"read_us", lat.read_us}},
       {}, microbench::last_run().tail);
-  bench::snapshot_last_microbench();
+  bench::fold_microbench();
 }
 
 }  // namespace

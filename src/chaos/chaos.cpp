@@ -25,7 +25,7 @@ RunOutcome run_scenario(const Scenario& sc, std::uint64_t checker_budget) {
   out.scenario = sc;
   {
     core::HerdTestbed bed(cfg);
-    out.run = bed.run(sc.warmup, sc.budget);
+    out.run = bed.run(sc.warmup, sc.budget, sc.flight_windows);
 
     // Drain: stop issuing new requests, then let every in-flight request
     // complete or retire at its deadline. Anything still open after the

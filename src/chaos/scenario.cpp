@@ -226,13 +226,6 @@ core::TestbedConfig to_testbed_config(const Scenario& sc) {
   cfg.verify_values = true;
   cfg.seed = sc.seed;
   cfg.trace_sample_every = sc.trace_sample_every;
-  if (sc.flight_windows > 0) {
-    // Spread the windows across the measurement budget; the flight ring
-    // holds exactly that many, so the dump is the whole run.
-    cfg.flight_interval = std::max<sim::Tick>(sc.budget / sc.flight_windows,
-                                              1);
-    cfg.flight_ring = sc.flight_windows;
-  }
   return cfg;
 }
 

@@ -63,10 +63,6 @@ std::vector<std::string> TestbedConfig::validate() const {
   if (workload.n_keys == 0) {
     problems.push_back("workload.n_keys must be >= 1");
   }
-  if (flight_interval > 0 && flight_ring == 0) {
-    problems.push_back(
-        "flight_ring must be >= 1 when flight_interval is nonzero");
-  }
   // The HerdConfig <-> ClientResilience coupling rules (tokens, failover
   // targets, replication, dedup retention) live in one place.
   std::vector<std::string> coupled =
@@ -366,29 +362,15 @@ HerdTestbed::HerdTestbed(const TestbedConfig& cfg) : cfg_(cfg) {
   }
 }
 
-HerdTestbed::RunResult HerdTestbed::run(sim::Tick warmup, sim::Tick measure) {
+HerdTestbed::RunResult HerdTestbed::run(sim::Tick warmup, sim::Tick measure,
+                                        std::uint32_t flight_windows) {
   auto& engine = cluster_->engine();
   for (auto& c : clients_) c->start();
   engine.run_until(engine.now() + warmup);
 
   for (auto& c : clients_) c->reset_stats();
   service_->reset_stats();
-  cluster_->resources().begin_window();
-  if (cfg_.flight_interval > 0) {
-    if (!flight_) {
-      obs::FlightConfig fc;
-      fc.interval = cfg_.flight_interval;
-      fc.ring = cfg_.flight_ring;
-      fc.source = "herd-testbed";
-      flight_ = std::make_unique<obs::FlightRecorder>(
-          engine, cluster_->resources(), &cluster_->metrics(), fc);
-    }
-    flight_->start();
-  }
-  sim::Tick start = engine.now();
-  engine.run_until(start + measure);
-  attr_ = obs::attribute(cluster_->resources());
-  if (flight_) flight_->stop();
+  window_ = cluster_->measure(measure, flight_windows, "herd-testbed");
   last_window_ = measure;
 
   RunResult r;

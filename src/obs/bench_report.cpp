@@ -29,22 +29,6 @@ BenchReport::Series& BenchReport::series_slot(const std::string& name) {
 
 void BenchReport::add_point(
     const std::string& series, double x,
-    std::vector<std::pair<std::string, double>> metrics) {
-  Json p = Json::object();
-  p["x"] = Json(x);
-  for (auto& [k, v] : metrics) p[k] = Json(v);
-  series_slot(series).points.push_back(std::move(p));
-}
-
-void BenchReport::add_point(
-    const std::string& series, double x,
-    std::vector<std::pair<std::string, double>> metrics,
-    const Attribution& attr) {
-  add_point(series, x, std::move(metrics), attr, Json());
-}
-
-void BenchReport::add_point(
-    const std::string& series, double x,
     std::vector<std::pair<std::string, double>> metrics,
     const Attribution& attr, const Json& tail) {
   Json p = Json::object();
@@ -72,6 +56,10 @@ Json tail_json(const TailProfiler::QuantileCut& cut) {
   for (const auto& [name, us] : cut.stages_us) stages[name] = Json(us);
   t["stages"] = std::move(stages);
   return t;
+}
+
+Json p99_tail_json(const TailProfiler& tail) {
+  return tail_json(tail.quantile("ok", 0.99));
 }
 
 bool BenchReport::has_points() const {

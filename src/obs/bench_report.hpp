@@ -58,23 +58,14 @@ class BenchReport {
 
   /// Appends a point to `series`. `metrics` are the paper's y-values for
   /// this x (Mops, avg_us, ...). Throws if the series was not declared.
-  void add_point(const std::string& series, double x,
-                 std::vector<std::pair<std::string, double>> metrics);
-
-  /// As add_point(), carrying bottleneck attribution: the point gains
-  /// "bottleneck" (resource class with max utilization), "bottleneck_util",
-  /// and a per-stage "breakdown" array. An empty attribution (no resource
-  /// did work) adds nothing.
+  /// `attr` adds bottleneck attribution: "bottleneck" (resource class with
+  /// max utilization), "bottleneck_util", and a per-stage "breakdown"
+  /// array; an empty attribution (no resource did work) adds nothing.
+  /// `tail` adds a per-request "tail" object (see tail_json()); a Null tail
+  /// adds nothing, so callers can pass tail_json()'s result unconditionally.
   void add_point(const std::string& series, double x,
                  std::vector<std::pair<std::string, double>> metrics,
-                 const Attribution& attr);
-
-  /// As the attributed add_point(), additionally carrying a per-request
-  /// "tail" object (see tail_json()). A Null tail adds nothing, so callers
-  /// can pass the result of tail_json() unconditionally.
-  void add_point(const std::string& series, double x,
-                 std::vector<std::pair<std::string, double>> metrics,
-                 const Attribution& attr, const Json& tail);
+                 const Attribution& attr = {}, const Json& tail = {});
 
   /// Flight-recorder "herd-timeseries/1" document for the run; written as
   /// a sibling TIMESERIES_<figure>.json by write(). Null clears it.
@@ -130,6 +121,10 @@ class BenchReport {
 /// bench_compare consistency gate can check sum-vs-total on the producer's
 /// own numbers. Returns Null for an invalid cut (no finished sample).
 Json tail_json(const TailProfiler::QuantileCut& cut);
+
+/// tail_json() of the p99 request among `tail`'s samples that finished
+/// "ok": the tail every bench point publishes (Null when none did).
+Json p99_tail_json(const TailProfiler& tail);
 
 /// Schema check for a BENCH_*.json document. Returns human-readable
 /// problems; empty means valid.

@@ -139,6 +139,18 @@ Attribution attribute(const ResourceRegistry& reg) {
 
 // --- FlightRecorder ---------------------------------------------------------
 
+namespace {
+FlightConfig checked(FlightConfig cfg) {
+  if (cfg.interval < 1) {
+    throw std::invalid_argument("FlightRecorder: interval must be >= 1 tick");
+  }
+  if (cfg.ring < 1) {
+    throw std::invalid_argument("FlightRecorder: ring must hold >= 1 window");
+  }
+  return cfg;
+}
+}  // namespace
+
 FlightRecorder::FlightRecorder(sim::Engine& engine,
                                const ResourceRegistry& resources,
                                const MetricRegistry* metrics,
@@ -146,13 +158,12 @@ FlightRecorder::FlightRecorder(sim::Engine& engine,
     : engine_(&engine),
       resources_(&resources),
       metrics_(metrics),
-      cfg_(std::move(cfg)) {
-  if (cfg_.interval < 1) {
-    throw std::invalid_argument("FlightRecorder: interval must be >= 1 tick");
-  }
-  if (cfg_.ring < 1) {
-    throw std::invalid_argument("FlightRecorder: ring must hold >= 1 window");
-  }
+      cfg_(checked(std::move(cfg))) {}
+
+void FlightRecorder::start(FlightConfig cfg) {
+  if (armed_) return;
+  cfg_ = checked(std::move(cfg));
+  start();
 }
 
 void FlightRecorder::start() {

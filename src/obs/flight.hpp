@@ -106,8 +106,7 @@ struct Attribution {
 
 /// Computes the attribution over all registered resources at engine-now,
 /// using each resource's current measurement window (begin_window() marks
-/// the start; HerdTestbed::run and Microbench::measure_rate do this at
-/// measure start).
+/// the start; cluster::Cluster::measure does this at measure start).
 Attribution attribute(const ResourceRegistry& reg);
 
 struct FlightConfig {
@@ -127,9 +126,11 @@ struct FlightConfig {
 class FlightRecorder {
  public:
   FlightRecorder(sim::Engine& engine, const ResourceRegistry& resources,
-                 const MetricRegistry* metrics, FlightConfig cfg);
+                 const MetricRegistry* metrics, FlightConfig cfg = {});
 
   void start();
+  /// As start(), recording under `cfg` in place of the current config.
+  void start(FlightConfig cfg);
   void stop();
   bool running() const { return armed_; }
 
