@@ -27,7 +27,8 @@
 // MICA, replication, chain flush) is instrumented with one hop call per
 // hop — request_begin/request_end, hop/hop_span, stage/charge — which
 // records the event while a window is open and charges the request's tail
-// stage whenever its trace id is nonzero.
+// stage whenever its trace id is nonzero. Events that are not hops
+// (mark/work) record the same way and charge nothing.
 #pragma once
 
 #include <cstdint>
@@ -208,6 +209,24 @@ class Tracer {
                 std::string_view stage, Args&& args = {}) {
     if (ctx.sampled()) tail_.stage(ctx.trace_id, stage, at);
     if (active() && at > from) span(track, event, from, at, args(), ctx);
+  }
+
+  /// An event on a sampled request's path that is not a hop (an admission
+  /// decision, a replication side effect): records `event` at `at` while a
+  /// window is open and charges no stage. No-op when ctx is unsampled.
+  template <typename Args = NoArgs>
+  void mark(std::string_view track, std::string_view event, sim::Tick at,
+            TraceCtx ctx, Args&& args = {}) {
+    if (ctx.sampled() && active()) instant(track, event, at, args(), ctx);
+  }
+
+  /// Work shared by several requests (a batch): records the span
+  /// [from, at) while a window is open, under its sampled member's `ctx`
+  /// if it has one, and charges no stage.
+  template <typename Args = NoArgs>
+  void work(std::string_view track, std::string_view event, sim::Tick from,
+            sim::Tick at, TraceCtx ctx, Args&& args = {}) {
+    if (active()) span(track, event, from, at, args(), ctx);
   }
 
   /// A hop with no event of its own: charges [mark, at) to stage `name`.

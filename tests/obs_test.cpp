@@ -456,6 +456,47 @@ TEST(TracerHop, SampledHopInAWindowRecordsAndChargesExactlyOnce) {
   EXPECT_EQ(s.stages[2], std::make_pair(std::string("net_out"), sim::us(2)));
 }
 
+// mark() and work() are events, not hops: they record inside a window
+// (mark() only for a sampled request), build their detail only then, and
+// never charge a tail stage.
+TEST(TracerHop, MarkAndWorkRecordInAWindowButChargeNoStage) {
+  Tracer t;
+  int built = 0;
+  t.mark("proc0", "repl_forward", sim::us(1), TraceCtx{7, 0},
+         CountingArgs{&built});
+  t.work("proc0", "mica_op", 0, sim::us(1), TraceCtx{7, 0},
+         CountingArgs{&built});
+  EXPECT_EQ(t.size(), 0u);  // no window open
+  EXPECT_EQ(built, 0);
+
+  t.enable(1);
+  TraceCtx ctx = t.request_begin("client", 0, 7, NoArgs{});
+  t.mark("proc0", "repl_forward", sim::us(2), ctx, CountingArgs{&built});
+  t.mark("proc0", "admission_admit", sim::us(2), TraceCtx{},
+         CountingArgs{&built});
+  t.work("proc0", "mica_op", sim::us(2), sim::us(3), TraceCtx{},
+         CountingArgs{&built});
+  EXPECT_EQ(built, 2);
+  t.request_end("client", {}, sim::us(5), ctx, "ok", "net_out");
+
+  ASSERT_EQ(t.size(), 3u);  // root, the sampled mark, the batch span
+  const Tracer::Event& mark = t.events()[1];
+  EXPECT_EQ(mark.name, "repl_forward");
+  EXPECT_TRUE(mark.instant);
+  EXPECT_EQ(mark.trace_id, 7u);
+  EXPECT_EQ(mark.args, "seq=1");
+  const Tracer::Event& work = t.events()[2];
+  EXPECT_EQ(work.name, "mica_op");
+  EXPECT_FALSE(work.instant);
+  EXPECT_EQ(work.start, sim::us(2));
+  EXPECT_EQ(work.end, sim::us(3));
+
+  ASSERT_EQ(t.tail().finished(), 1u);
+  const TailProfiler::Sample& s = t.tail().samples()[0];
+  ASSERT_EQ(s.stages.size(), 1u);
+  EXPECT_EQ(s.stages[0], std::make_pair(std::string("net_out"), sim::us(5)));
+}
+
 TEST(TracerHop, DeadlineEndRecordsItsInstantAndResidualStage) {
   Tracer t;
   t.enable(1);

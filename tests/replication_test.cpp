@@ -178,6 +178,33 @@ TEST(Replication, LiveMigrationHandsOffWithDualWrites) {
   EXPECT_EQ(steady.get_misses, 0u);
 }
 
+// A traced dual write is marked on the source primary's track with its
+// destination, under the sampled request's trace id; unsampled dual
+// writes record nothing.
+TEST(Replication, TracedDualWritesAreMarkedWithTheirDestination) {
+  auto cfg = replicated_cfg();
+  cfg.herd.n_server_procs = 3;
+  cfg.herd.n_clients = 3;
+  cfg.herd.migration_stream_time = sim::ms(1);
+  cfg.herd.trace = true;
+  cfg.trace_sample_every = 4;
+  core::HerdTestbed bed(cfg);
+  bed.run(sim::ms(1), sim::ms(1));
+  ASSERT_TRUE(bed.service().migrate_shard(0, 2));
+  bed.run(0, sim::ms(3));
+
+  std::size_t marks = 0;
+  for (const obs::Tracer::Event& e : bed.tracer().events()) {
+    if (e.name != "migration_dual_write") continue;
+    ++marks;
+    EXPECT_TRUE(e.instant);
+    EXPECT_NE(e.trace_id, 0u);
+    EXPECT_EQ(e.args, "dest=2");
+  }
+  EXPECT_GT(marks, 0u);
+  EXPECT_LT(marks, bed.snapshot().value("service.migration_dual_writes"));
+}
+
 TEST(Replication, DropReplicationCanarySkipsForwardingButStillAcks) {
   // The planted-bug hook the chaos canary builds on: mutations are acked
   // without ever reaching the backup. Mechanically visible as zero
